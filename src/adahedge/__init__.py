@@ -14,8 +14,6 @@ from .core import (
     LossVector,
     RoundReport,
     WeightSnapshot,
-    argmax_set,
-    argmin_set,
     hedge_weights,
     log_marginal_likelihood,
     mix_loss,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 from . import bounds
@@ -44,27 +45,24 @@ class ConfigError(Exception):
         super().__init__(f"{where}: {message}")
 
 
-_GENERATOR_KEYS = {
-    "iid_bernoulli": {"probs"},
-    "correlated": {"hard_prob", "p1", "p2"},
-    "alternating_pair": {"a", "b", "eps"},
-    "ftl_killer": set(),
+_GENERATORS = {
+    "iid_bernoulli": IidBernoulli,
+    "correlated": Correlated,
+    "alternating_pair": AlternatingPair,
+    "ftl_killer": FtlKiller,
 }
-_REQUIRED_GENERATOR_KEYS = {
-    "iid_bernoulli": {"probs"},
-    "correlated": set(),  # hard_prob/p1/p2 all have defaults
-    "alternating_pair": {"a", "b", "eps"},
-    "ftl_killer": set(),
+_STRATEGIES = {
+    "ftl": FollowTheLeader,
+    "follow_the_leader": FollowTheLeader,
+    "fixed_hedge": FixedHedge,
+    "oracle_hedge": OracleHedge,
+    "doubling_hedge": DoublingHedge,
+    "adahedge": AdaHedge,
+    "variable_hedge": VariableHedge,
 }
-_TOP_KEYS = {
-    "generator",
-    "horizon_t",
-    "repetitions",
-    "strategies",
-    "base_seed",
-    "output_dir",
-}
-_ALL_KEYS = _TOP_KEYS | {k for keys in _GENERATOR_KEYS.values() for k in keys}
+# config keys: the experiment's own fields, then each generator's fields
+_TOP_KEYS = {f.name for f in fields(ExperimentConfig)}
+_ALL_KEYS = _TOP_KEYS | {f.name for cls in _GENERATORS.values() for f in fields(cls)}
 
 
 def _split_outside_parens(text: str, path, line_no: int) -> list[str]:
@@ -90,6 +88,9 @@ def _split_outside_parens(text: str, path, line_no: int) -> list[str]:
 def _parse_strategy(entry: str, path, line_no: int):
     name, _, rest = entry.partition("(")
     name = name.strip().lower()
+    if name not in _STRATEGIES:
+        raise ConfigError(path, line_no, f"unknown strategy {name!r}")
+    cls = _STRATEGIES[name]
     params = {}
     if rest:
         if not rest.endswith(")"):
@@ -110,36 +111,20 @@ def _parse_strategy(entry: str, path, line_no: int):
                     path, line_no, f"{key.strip()!r} in {entry!r} is not a number"
                 )
 
-    def only(allowed: set[str]):
-        extra = set(params) - allowed
-        if extra:
+    extra = set(params) - {f.name for f in fields(cls)}
+    if extra:
+        raise ConfigError(
+            path, line_no, f"strategy {name!r} does not take parameter(s) {sorted(extra)}"
+        )
+    for f in fields(cls):
+        if f.default is MISSING and f.name not in params:
             raise ConfigError(
-                path,
-                line_no,
-                f"strategy {name!r} does not take parameter(s) {sorted(extra)}",
+                path, line_no, f"{name} requires {f.name}, e.g. {name}({f.name}=0.1)"
             )
-
-    if name in ("ftl", "follow_the_leader"):
-        only(set())
-        return FollowTheLeader()
-    if name == "fixed_hedge":
-        only({"eta"})
-        if "eta" not in params:
-            raise ConfigError(path, line_no, "fixed_hedge requires eta, e.g. fixed_hedge(eta=0.1)")
-        return FixedHedge(eta=params["eta"])
-    if name == "oracle_hedge":
-        only(set())
-        return OracleHedge()
-    if name == "doubling_hedge":
-        only({"phi"})
-        return DoublingHedge(phi=params.get("phi", 2.0))
-    if name == "adahedge":
-        only({"phi"})
-        return AdaHedge(phi=params.get("phi", 2.0))
-    if name == "variable_hedge":
-        only(set())
-        return VariableHedge()
-    raise ConfigError(path, line_no, f"unknown strategy {name!r}")
+    try:
+        return cls(**params)
+    except ValueError as exc:  # the kind's own parameter checks
+        raise ConfigError(path, line_no, f"{name}: {exc}")
 
 
 def _parse_float(raw: str, key: str, path, line_no: int) -> float:
@@ -189,44 +174,34 @@ def parse_config(text: str, path="<config>") -> ExperimentConfig:
 
     gen_name, gen_line = need("generator")
     gen_name = gen_name.lower()
-    if gen_name not in _GENERATOR_KEYS:
+    if gen_name not in _GENERATORS:
         raise ConfigError(
             path,
             gen_line,
-            f"unknown generator {gen_name!r} (expected one of {sorted(_GENERATOR_KEYS)})",
+            f"unknown generator {gen_name!r} (expected one of {sorted(_GENERATORS)})",
         )
+    gen_fields = fields(_GENERATORS[gen_name])
+    gen_keys = {f.name for f in gen_fields}
     for key, (_, line_no) in entries.items():
-        if key in _TOP_KEYS:
-            continue
-        if key not in _GENERATOR_KEYS[gen_name]:
+        if key not in _TOP_KEYS and key not in gen_keys:
             raise ConfigError(
                 path, line_no, f"key {key!r} is not valid for generator {gen_name!r}"
             )
-    for key in _REQUIRED_GENERATOR_KEYS[gen_name]:
-        if key not in entries:
-            raise ConfigError(path, gen_line, f"generator {gen_name!r} requires key {key!r}")
-
-    try:
-        if gen_name == "iid_bernoulli":
-            raw, line_no = entries["probs"]
-            probs = [_parse_float(p, "probs", path, line_no) for p in raw.split(",")]
-            generator = IidBernoulli(probs)
-        elif gen_name == "correlated":
-            def opt(key: str, default: float) -> float:
-                if key in entries:
-                    return _parse_float(entries[key][0], key, path, entries[key][1])
-                return default
-            generator = Correlated(
-                hard_prob=opt("hard_prob", 0.3), p1=opt("p1", 0.01), p2=opt("p2", 0.02)
-            )
-        elif gen_name == "alternating_pair":
-            vals = {
-                key: _parse_float(entries[key][0], key, path, entries[key][1])
-                for key in ("a", "b", "eps")
-            }
-            generator = AlternatingPair(**vals)
+    params = {}
+    for f in gen_fields:
+        if f.name not in entries:
+            if f.default is MISSING:
+                raise ConfigError(
+                    path, gen_line, f"generator {gen_name!r} requires key {f.name!r}"
+                )
+            continue
+        raw, line_no = entries[f.name]
+        if "tuple" in str(f.type):  # a comma-separated list, one per action
+            params[f.name] = [_parse_float(p, f.name, path, line_no) for p in raw.split(",")]
         else:
-            generator = FtlKiller()
+            params[f.name] = _parse_float(raw, f.name, path, line_no)
+    try:
+        generator = _GENERATORS[gen_name](**params)
     except ValueError as exc:  # generator invariant violations
         raise ConfigError(path, gen_line, str(exc))
 
@@ -268,19 +243,13 @@ def parse_config(text: str, path="<config>") -> ExperimentConfig:
 
 
 def _describe_generator(generator) -> str:
-    if isinstance(generator, IidBernoulli):
-        return f"iid_bernoulli(probs={', '.join(format_sig(p) for p in generator.probs)})"
-    if isinstance(generator, Correlated):
-        return (
-            f"correlated(hard_prob={format_sig(generator.hard_prob)}, "
-            f"p1={format_sig(generator.p1)}, p2={format_sig(generator.p2)})"
-        )
-    if isinstance(generator, AlternatingPair):
-        return (
-            f"alternating_pair(a={format_sig(generator.a)}, "
-            f"b={format_sig(generator.b)}, eps={format_sig(generator.eps)})"
-        )
-    return "ftl_killer"
+    name = next(n for n, cls in _GENERATORS.items() if isinstance(generator, cls))
+    params = []
+    for f in fields(generator):
+        value = getattr(generator, f.name)
+        values = value if isinstance(value, tuple) else (value,)
+        params.append(f"{f.name}={', '.join(map(format_sig, values))}")
+    return f"{name}({', '.join(params)})" if params else name
 
 
 def cmd_run(args) -> int:
@@ -322,63 +291,31 @@ def cmd_run(args) -> int:
     return 0
 
 
-_BOUND_NAMES = (
-    "budget",
-    "lemma2",
-    "eta-floor",
-    "theorem1",
-    "lemma3",
-    "factor",
-    "lemma4",
-    "lemma5",
-    "intro-mstar",
-    "theorem3-mstar",
-    "lemma6-tau",
-)
+# bound name -> (calculator, the flags it takes, in argument order)
+_BOUNDS = {
+    "budget": (bounds.budget, ("eta", "k")),
+    "lemma2": (bounds.lemma2_bound, ("eta", "lstar", "k")),
+    "eta-floor": (bounds.eta_floor, ("lstar", "k")),
+    "theorem1": (bounds.theorem1_bound, ("lstar", "k")),
+    "lemma3": (bounds.lemma3_bound, ("m", "k", "phi")),
+    "factor": (bounds.theorem2_leading_factor, ("phi",)),
+    "lemma4": (bounds.lemma4_bound, ("eta", "wstar")),
+    "lemma5": (bounds.lemma5_ck, ("k", "alpha", "beta")),
+    "intro-mstar": (bounds.intro_mstar, ("alpha", "phi")),
+    "theorem3-mstar": (bounds.theorem3_mstar, ("alpha", "delta", "k", "phi")),
+    "lemma6-tau": (bounds.lemma6_tau, ("mstar", "k", "alpha", "beta", "phi")),
+}
 
 
 def _evaluate_bound(args):
-    name = args.name
-
-    def need(*flags):
-        for flag in flags:
-            if getattr(args, flag) is None:
-                raise ValueError(f"bounds {name} requires --{flag}")
-
-    if name == "budget":
-        need("eta", "k")
-        return bounds.budget(args.eta, args.k)
-    if name == "lemma2":
-        need("eta", "lstar", "k")
-        return bounds.lemma2_bound(args.eta, args.lstar, args.k)
-    if name == "eta-floor":
-        need("lstar", "k")
-        return bounds.eta_floor(args.lstar, args.k)
-    if name == "theorem1":
-        need("lstar", "k")
-        return bounds.theorem1_bound(args.lstar, args.k)
-    if name == "lemma3":
-        need("m", "k", "phi")
-        return bounds.lemma3_bound(args.m, args.k, args.phi)
-    if name == "factor":
-        need("phi")
-        return bounds.theorem2_leading_factor(args.phi)
-    if name == "lemma4":
-        need("eta", "wstar")
-        return bounds.lemma4_bound(args.eta, args.wstar)
-    if name == "lemma5":
-        need("k", "alpha", "beta")
-        if args.eta is not None:
-            return bounds.lemma5_bound(args.k, args.alpha, args.beta, args.eta)
-        return bounds.lemma5_ck(args.k, args.alpha, args.beta)
-    if name == "intro-mstar":
-        need("alpha", "phi")
-        return bounds.intro_mstar(args.alpha, args.phi)
-    if name == "theorem3-mstar":
-        need("alpha", "delta", "k", "phi")
-        return bounds.theorem3_mstar(args.alpha, args.delta, args.k, args.phi)
-    need("mstar", "k", "alpha", "beta", "phi")
-    return bounds.lemma6_tau(args.mstar, args.k, args.alpha, args.beta, args.phi)
+    fn, flags = _BOUNDS[args.name]
+    if args.name == "lemma5" and args.eta is not None:
+        # with --eta, lemma5 is the tail bound instead of its constant
+        fn, flags = bounds.lemma5_bound, flags + ("eta",)
+    for flag in flags:
+        if getattr(args, flag) is None:
+            raise ValueError(f"bounds {args.name} requires --{flag}")
+    return fn(*(getattr(args, flag) for flag in flags))
 
 
 def cmd_bounds(args) -> int:
@@ -386,6 +323,13 @@ def cmd_bounds(args) -> int:
         value = _evaluate_bound(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:  # overflow or underflow in the closed form
+        print(
+            f"error: bounds {args.name} is not representable as a float for these "
+            f"inputs ({type(exc).__name__})",
+            file=sys.stderr,
+        )
         return 2
     if isinstance(value, int):
         print(value)
@@ -431,7 +375,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=cmd_run)
 
     p_bounds = sub.add_parser("bounds", help="evaluate a closed-form guarantee")
-    p_bounds.add_argument("name", choices=_BOUND_NAMES)
+    p_bounds.add_argument("name", choices=_BOUNDS)
     p_bounds.add_argument("--eta", type=float, help="learning rate")
     p_bounds.add_argument("--k", type=int, help="number of actions")
     p_bounds.add_argument("--lstar", type=float, help="best action's cumulative loss")

@@ -33,8 +33,6 @@ __all__ = [
     "log_marginal_likelihood",
     "log_weights_from_totals",
     "hedge_and_mix_loss",
-    "argmin_set",
-    "argmax_set",
 ]
 
 PER_OP_TOL = 1e-12
@@ -231,19 +229,29 @@ def log_weights_from_totals(totals: Sequence[float], eta: float) -> list[float]:
 
 
 def hedge_and_mix_loss(
-    weights: Sequence[float], losses: Sequence[float], eta: float
+    weights: Sequence[float],
+    losses: Sequence[float],
+    eta: float,
+    log_weights: Sequence[float] | None = None,
 ) -> tuple[float, float]:
     """Return (w . l, -(1/eta) * log(w . exp(-eta*l))) for one round.
 
     The mix loss is evaluated with the losses shifted by their minimum, so
-    no exponential ever overflows; for very large eta it degrades
-    gracefully toward min(l).  The sum is accumulated as expm1 terms and
-    taken through log1p, because at small eta the plain form loses the
+    no exponential ever overflows.  The sum is accumulated as expm1 terms
+    and taken through log1p, because at small eta the plain form loses the
     log to rounding and the division by eta blows that up: the gap
     (expected minus mix) is itself O(eta), so an absolute log error of
     1e-16 would already swamp it near eta = 1e-6.  Weights are divided by
     their exact float sum so a vector that is 1e-12 off normalisation
     cannot shift the mix by 1e-12/eta.
+
+    That form cancels when the weight sits on actions whose
+    exp(-eta*(l - min l)) is tiny: 1 + z/wsum is then known only to about
+    1e-16 absolute, and reaches 0 (a log1p domain error) once those terms
+    underflow.  Rounds where 1 + z/wsum < 2**-10, which needs
+    eta*(l - min l) > 6.9 for some action, are evaluated as a max-shifted
+    logsumexp of ``log_weights - eta*l`` instead; ``log_weights`` defaults
+    to the logs of the normalised weights.
     """
     m = min(losses)
     hedge = 0.0
@@ -253,19 +261,17 @@ def hedge_and_mix_loss(
         hedge += w * l
         wsum += w
         z += w * math.expm1(-eta * (l - m))
-    return hedge / wsum, m - math.log1p(z / wsum) / eta
-
-
-def argmin_set(values: Sequence[float]) -> list[int]:
-    """Indices of all entries equal to the minimum (exact ties)."""
-    m = min(values)
-    return [i for i, v in enumerate(values) if v == m]
-
-
-def argmax_set(values: Sequence[float]) -> list[int]:
-    """Indices of all entries equal to the maximum (exact ties)."""
-    m = max(values)
-    return [i for i, v in enumerate(values) if v == m]
+    ratio = z / wsum
+    if ratio > -1.0 + 2.0**-10:
+        return hedge / wsum, m - math.log1p(ratio) / eta
+    if log_weights is None:
+        log_weights = [math.log(w / wsum) if w > 0.0 else _NEG_INF for w in weights]
+    shifted = [a - eta * (l - m) for a, l in zip(log_weights, losses)]
+    top = max(shifted)
+    s = 0.0
+    for v in shifted:
+        s += math.exp(v - top)
+    return hedge / wsum, m - (top + math.log(s)) / eta
 
 
 # ---------------------------------------------------------------------------
@@ -283,24 +289,27 @@ def hedge_weights(cum: CumulativeLoss, eta: float) -> WeightSnapshot:
     return WeightSnapshot(log_weights_from_totals(cum.totals, eta))
 
 
+def _checked_round(weights, loss, eta: float) -> tuple[float, float, float]:
+    """Validated (hedge loss, mix loss, eta) for one round."""
+    eta = _check_eta(eta)
+    w = _coerce_weights(weights)
+    l = _coerce_losses(loss, len(w))
+    lw = weights.log_weights if isinstance(weights, WeightSnapshot) else None
+    return (*hedge_and_mix_loss(w, l, eta, lw), eta)
+
+
 def mix_loss(weights, loss, eta: float) -> float:
     """Mix loss -(1/eta) * ln(w . exp(-eta*l)) for one round.
 
     Lies between min(l) and the expected loss w . l.  Accepts a
     WeightSnapshot or a plain probability vector for ``weights``.
     """
-    eta = _check_eta(eta)
-    w = _coerce_weights(weights)
-    l = _coerce_losses(loss, len(w))
-    return hedge_and_mix_loss(w, l, eta)[1]
+    return _checked_round(weights, loss, eta)[1]
 
 
 def mixability_gap(weights, loss, eta: float) -> RoundReport:
     """Expected loss minus mix loss for one round; the gap is in [0, eta/8]."""
-    eta = _check_eta(eta)
-    w = _coerce_weights(weights)
-    l = _coerce_losses(loss, len(w))
-    hedge, mix = hedge_and_mix_loss(w, l, eta)
+    hedge, mix, eta = _checked_round(weights, loss, eta)
     return RoundReport(hedge, mix, hedge - mix, eta)
 
 

@@ -6,10 +6,13 @@ losses back.  ``run()`` drives one strategy down a whole loss stream and
 records the per-round trace (losses, regret, learning rate, segment index)
 that the simulation harness aggregates.
 
-The restart-based strategies (AdaHedge, DoublingHedge) apply a pending
-segment rollover at the start of a round, before weights are produced, so
-a depletion in the final observed round never opens a segment that plays
-no rounds.
+FollowTheLeader has its own state.  The Hedge kinds (fixed, doubling,
+AdaHedge, variable; OracleHedge is fixed Hedge at a hindsight rate) share
+one exponential-weights state and differ only in their schedule: the rate
+for each round and when to restart.  A restart divides eta by phi and
+empties the segment's totals and gap sum.  It is applied at the start of a
+round, before weights are produced, so a depletion in the final observed
+round never opens a segment that plays no rounds.
 """
 
 from __future__ import annotations
@@ -194,7 +197,7 @@ class Strategy:
     @property
     def weights(self) -> tuple[float, ...]:
         self._pre_act()
-        return tuple(self._act_weights())
+        return tuple(self._w)
 
     @property
     def segments_started(self) -> int:
@@ -205,13 +208,11 @@ class Strategy:
     def _pre_act(self):
         pass
 
-    def _act_weights(self) -> list[float]:
-        raise NotImplementedError
-
     def _log_weights_list(self) -> list[float]:
         raise NotImplementedError
 
-    def _observe(self, row: list[float]) -> tuple[float, float]:
+    def _observe(self, row: list[float]) -> float:
+        """Consume one round; return the expected loss of the weights played."""
         raise NotImplementedError
 
 
@@ -233,9 +234,6 @@ class _FtlState(Strategy):
             self._w = [inv if v == m else 0.0 for v in tot]
             self._fresh = self._rounds
 
-    def _act_weights(self):
-        return self._w
-
     def _log_weights_list(self):
         return [math.log(v) if v > 0.0 else _NEG_INF for v in self._w]
 
@@ -248,160 +246,93 @@ class _FtlState(Strategy):
         for i, v in enumerate(row):
             tot[i] += v
         self._rounds += 1
-        return hedge, 0.0
+        return hedge
 
 
-class _ExpWeightsState(Strategy):
-    """Shared upkeep for all exponential-weights strategies: weights are
-    recomputed from per-action totals through ``log_weights_from_totals``,
-    the same kernel ``hedge_weights`` uses, so the two agree bitwise."""
+class _HedgeState(Strategy):
+    """Exponential weights over the current segment's per-action totals.
+
+    Every Hedge kind runs this one update; a kind supplies only its
+    schedule.  FixedHedge plays its own eta and VariableHedge derives the
+    rate from the best total; neither has a restart budget.  AdaHedge and
+    DoublingHedge start at eta = 1 and restart with eta divided by phi once
+    the gap sum (AdaHedge) or the segment's best loss (DoublingHedge)
+    reaches ``budget``.  Weights come from ``log_weights_from_totals``, the
+    kernel ``hedge_weights`` uses, so the two agree bitwise; they are
+    refreshed lazily, at the first act of a round, when its rate is known.
+    """
 
     def __init__(self, kind, k):
         super().__init__(kind, k)
+        self.eta = kind.eta if isinstance(kind, FixedHedge) else 1.0
+        self._two_lnk = 2.0 * math.log(k)
+        self.budget = self._budget_at(self.eta)
+        self._budget_on_lstar = isinstance(kind, DoublingHedge)
+        self._rate_from_lstar = isinstance(kind, VariableHedge)
+        # without a budget the one segment is the whole stream
+        self._seg_totals = self._totals if self.budget == math.inf else [0.0] * k
         self._lw = [-math.log(k)] * k
         self._w = [1.0 / k] * k
+        # round whose weights _w holds; VariableHedge computes even its
+        # first-round weights through its rate rule, as exp(-ln K)
+        self._fresh = -1 if self._rate_from_lstar else 0
 
-    def _act_weights(self):
-        return self._w
+    def _budget_at(self, eta):
+        if isinstance(self.kind, AdaHedge):
+            return bounds.budget(eta, self.k)
+        if isinstance(self.kind, DoublingHedge):
+            return self._two_lnk / (eta * eta)
+        return math.inf
+
+    def _pre_act(self):
+        if self._fresh == self._rounds:
+            return
+        self._fresh = self._rounds
+        seg = self._seg_totals
+        if (min(seg) if self._budget_on_lstar else self.delta_sum) >= self.budget:
+            self.segment += 1
+            self.eta = self.kind.phi ** (1 - self.segment)
+            self.budget = self._budget_at(self.eta)
+            self.delta_sum = 0.0
+            self._seg_totals = seg = [0.0] * self.k
+            self.segment_starts.append(self._rounds + 1)
+        elif self._rate_from_lstar:
+            lstar = min(self._totals)
+            self.eta = 1.0 if lstar <= 0.0 else min(1.0, math.sqrt(self._two_lnk / lstar))
+        lw = log_weights_from_totals(seg, self.eta)
+        self._lw = lw
+        self._w = [math.exp(v) for v in lw]
 
     def _log_weights_list(self):
         return self._lw
 
-    def _set_weights_from(self, totals):
-        lw = log_weights_from_totals(totals, self.eta)
-        self._lw = lw
-        self._w = [math.exp(v) for v in lw]
-
-
-class _FixedHedgeState(_ExpWeightsState):
-    def __init__(self, kind, k, eta):
-        super().__init__(kind, k)
-        self.eta = eta
-
     def _observe(self, row):
-        hedge, mix = hedge_and_mix_loss(self._w, row, self.eta)
-        delta = hedge - mix
-        self.delta_sum += delta
-        tot = self._totals
-        for i, v in enumerate(row):
-            tot[i] += v
-        self._rounds += 1
-        self._set_weights_from(tot)
-        return hedge, delta
-
-
-class _AdaHedgeState(_ExpWeightsState):
-    def __init__(self, kind, k):
-        super().__init__(kind, k)
-        self.phi = kind.phi
-        self.eta = 1.0  # phi ** (1 - segment) with segment = 1
-        self.budget = bounds.budget(self.eta, k)
-        self._seg_totals = [0.0] * k
-
-    def _pre_act(self):
-        if self.delta_sum >= self.budget:
-            self.segment += 1
-            self.eta = self.phi ** (1 - self.segment)
-            self.budget = bounds.budget(self.eta, self.k)
-            self.delta_sum = 0.0
-            self._seg_totals = [0.0] * self.k
-            self._set_weights_from(self._seg_totals)
-            self.segment_starts.append(self._rounds + 1)
-
-    def _observe(self, row):
-        hedge, mix = hedge_and_mix_loss(self._w, row, self.eta)
-        delta = hedge - mix
-        self.delta_sum += delta
+        hedge, mix = hedge_and_mix_loss(self._w, row, self.eta, self._lw)
+        self.delta_sum += hedge - mix
         tot = self._totals
         seg = self._seg_totals
-        for i, v in enumerate(row):
-            tot[i] += v
-            seg[i] += v
+        if seg is tot:
+            for i, v in enumerate(row):
+                tot[i] += v
+        else:
+            for i, v in enumerate(row):
+                tot[i] += v
+                seg[i] += v
         self._rounds += 1
-        self._set_weights_from(seg)
-        return hedge, delta
-
-
-class _DoublingHedgeState(_ExpWeightsState):
-    def __init__(self, kind, k):
-        super().__init__(kind, k)
-        self.phi = kind.phi
-        self.eta = 1.0
-        self._two_lnk = 2.0 * math.log(k)
-        self.lstar_budget = self._two_lnk  # 2 ln K / eta**2 at eta = 1
-        self._seg_totals = [0.0] * k
-
-    def _pre_act(self):
-        if min(self._seg_totals) >= self.lstar_budget:
-            self.segment += 1
-            self.eta = self.phi ** (1 - self.segment)
-            self.lstar_budget = self._two_lnk / (self.eta * self.eta)
-            self.delta_sum = 0.0
-            self._seg_totals = [0.0] * self.k
-            self._set_weights_from(self._seg_totals)
-            self.segment_starts.append(self._rounds + 1)
-
-    def _observe(self, row):
-        hedge, mix = hedge_and_mix_loss(self._w, row, self.eta)
-        delta = hedge - mix
-        self.delta_sum += delta
-        tot = self._totals
-        seg = self._seg_totals
-        for i, v in enumerate(row):
-            tot[i] += v
-            seg[i] += v
-        self._rounds += 1
-        self._set_weights_from(seg)
-        return hedge, delta
-
-
-class _VariableHedgeState(_ExpWeightsState):
-    def __init__(self, kind, k):
-        super().__init__(kind, k)
-        self._two_lnk = 2.0 * math.log(k)
-        self.eta = 1.0
-        self._fresh = -1
-
-    def _pre_act(self):
-        if self._fresh != self._rounds:
-            lstar = min(self._totals)
-            if lstar <= 0.0:
-                self.eta = 1.0
-            else:
-                self.eta = min(1.0, math.sqrt(self._two_lnk / lstar))
-            self._set_weights_from(self._totals)
-            self._fresh = self._rounds
-
-    def _observe(self, row):
-        hedge, mix = hedge_and_mix_loss(self._w, row, self.eta)
-        delta = hedge - mix
-        self.delta_sum += delta
-        tot = self._totals
-        for i, v in enumerate(row):
-            tot[i] += v
-        self._rounds += 1
-        # weights are refreshed lazily at the next act, when the new
-        # learning rate for that round is known
-        return hedge, delta
+        return hedge
 
 
 def init(kind: StrategyKind, k: int) -> Strategy:
     """Fresh state for ``kind`` over ``k`` actions, uniform first-round play."""
     if isinstance(kind, FollowTheLeader):
         return _FtlState(kind, k)
-    if isinstance(kind, FixedHedge):
-        return _FixedHedgeState(kind, k, kind.eta)
     if isinstance(kind, OracleHedge):
         raise ValueError(
             "OracleHedge needs the stream's final best loss; use run(), or "
             "FixedHedge(oracle_eta(lstar, k)) once lstar is known"
         )
-    if isinstance(kind, DoublingHedge):
-        return _DoublingHedgeState(kind, k)
-    if isinstance(kind, AdaHedge):
-        return _AdaHedgeState(kind, k)
-    if isinstance(kind, VariableHedge):
-        return _VariableHedgeState(kind, k)
+    if isinstance(kind, (FixedHedge, DoublingHedge, AdaHedge, VariableHedge)):
+        return _HedgeState(kind, k)
     raise TypeError(f"unknown strategy kind {kind!r}")
 
 
@@ -506,7 +437,7 @@ def run(kind: StrategyKind, losses) -> RegretTrace:
         pre_act()
         seg_app(strat.segment)
         eta_app(strat.eta)
-        hedge, _ = observe(row)
+        hedge = observe(row)
         cum_agent += hedge
         best = min(totals)
         al_app(hedge)

@@ -13,6 +13,8 @@ from adahedge.simulation import AlternatingPair, Correlated, IidBernoulli
 from adahedge.strategies import AdaHedge, FixedHedge, FollowTheLeader
 from adahedge.verify import run_suite
 
+EXPERIMENTS = Path(__file__).resolve().parent.parent / "experiments"
+
 VALID = """\
 # tiny smoke experiment
 generator = iid_bernoulli
@@ -86,6 +88,15 @@ class TestParseConfig:
     def test_fixed_hedge_requires_eta(self):
         text = VALID.format(out="x").replace("fixed_hedge(eta=0.5)", "fixed_hedge")
         with pytest.raises(ConfigError, match="fixed_hedge requires eta"):
+            parse_config(text, "cfg")
+
+    @pytest.mark.parametrize(
+        "entry,message",
+        [("adahedge(phi=1)", "phi must be"), ("fixed_hedge(eta=nan)", "eta must be")],
+    )
+    def test_strategy_parameter_checks_report_line(self, entry, message):
+        text = VALID.format(out="x").replace("adahedge(phi=2)", entry)
+        with pytest.raises(ConfigError, match=rf"cfg:6: .*{message}"):
             parse_config(text, "cfg")
 
     def test_strategy_rejects_foreign_parameter(self):
@@ -206,6 +217,14 @@ class TestRunCommand:
         assert [r[0] for r in srows[1:]] == slugs
         assert all(r[3] == "3" and r[4] == "40" and r[5] == "11" for r in srows[1:])
 
+    def test_large_fixed_eta_runs(self, tmp_path, capsys):
+        """At eta = 1000 the expected-vs-mix sum underflows; the run still
+        completes."""
+        out = tmp_path / "out"
+        text = VALID.format(out=out).replace("fixed_hedge(eta=0.5)", "fixed_hedge(eta=1000)")
+        assert main(["run", str(self.write(tmp_path, text))]) == 0
+        assert "fixed_hedge_eta1000: final mean regret" in capsys.readouterr().out
+
     def test_svg_is_well_formed_with_one_polyline_per_strategy(self, tmp_path):
         out = tmp_path / "out"
         path = self.write(tmp_path, VALID.format(out=out))
@@ -265,6 +284,20 @@ class TestBoundsCommand:
         assert main(["bounds", "lemma2", "--eta", "1.5", "--lstar", "1", "--k", "2"]) == 2
         assert "eta must be in" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lemma3", "--m", "2000", "--k", "2", "--phi", "2"],
+            ["intro-mstar", "--alpha", "1e-320", "--phi", "2"],
+            ["lemma6-tau", "--mstar", "5000", "--k", "2", "--alpha", "0.2", "--beta", "1",
+             "--phi", "2"],
+            ["theorem3-mstar", "--alpha", "1e-200", "--delta", "0.5", "--k", "2", "--phi", "2"],
+        ],
+    )
+    def test_float_range_failure_is_an_error(self, argv, capsys):
+        assert main(["bounds", *argv]) == 2
+        assert f"bounds {argv[0]} is not representable" in capsys.readouterr().err
+
     def test_unknown_bound_name(self, capsys):
         assert main(["bounds", "lemma99"]) == 2
 
@@ -307,3 +340,49 @@ class TestVerifyCommand:
         results, info = run_suite(full=False, seed=20110718)
         assert len(results) == 10
         assert info == []
+
+
+# ``--dry-run`` output of the shipped configs after their "config OK" line,
+# recorded before the generator tables were derived from the dataclasses
+DRY_RUN_PLANS = {
+    "alternating": """\
+  generator   alternating_pair(a=0.2, b=0.6, eps=0.1)  [K=2]
+  horizon     100000 rounds x 1 repetitions
+  strategies  ftl, oracle_hedge, doubling_hedge_phi2, adahedge_phi2, variable_hedge
+  base_seed   1
+  output_dir  out/alternating
+  threads     1
+""",
+    "correlated": """\
+  generator   correlated(hard_prob=0.3, p1=0.01, p2=0.02)  [K=2]
+  horizon     10000 rounds x 200 repetitions
+  strategies  ftl, oracle_hedge, doubling_hedge_phi2, adahedge_phi2, variable_hedge
+  base_seed   20110718
+  output_dir  out/correlated
+  threads     1
+""",
+    "ftl_killer": """\
+  generator   ftl_killer  [K=2]
+  horizon     1000 rounds x 1 repetitions
+  strategies  ftl, oracle_hedge, doubling_hedge_phi2, adahedge_phi2, variable_hedge
+  base_seed   1
+  output_dir  out/ftl_killer
+  threads     1
+""",
+    "iid": """\
+  generator   iid_bernoulli(probs=0.35, 0.4, 0.45, 0.5)  [K=4]
+  horizon     10000 rounds x 50 repetitions
+  strategies  ftl, oracle_hedge, doubling_hedge_phi2, adahedge_phi2, variable_hedge
+  base_seed   20110717
+  output_dir  out/iid
+  threads     1
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DRY_RUN_PLANS))
+def test_shipped_config_dry_run_plan(name, capsys, monkeypatch):
+    monkeypatch.setenv("ADAHEDGE_THREADS", "1")
+    path = EXPERIMENTS / f"{name}.cfg"
+    assert main(["run", str(path), "--dry-run"]) == 0
+    assert capsys.readouterr().out == f"config OK: {path}\n" + DRY_RUN_PLANS[name]

@@ -18,8 +18,6 @@ from adahedge.core import (
     LossVector,
     RoundReport,
     WeightSnapshot,
-    argmax_set,
-    argmin_set,
     hedge_weights,
     log_marginal_likelihood,
     mix_loss,
@@ -281,14 +279,23 @@ class TestLogMarginalLikelihood:
         np.testing.assert_allclose(got, -math.log(3), rtol=1e-12)
 
 
-class TestOptimizerSets:
-    def test_argmin_returns_all_ties(self):
-        assert argmin_set([1.0, 0.5, 0.5, 2.0]) == [1, 2]
-        assert argmax_set([1.0, 0.5, 0.5, 2.0]) == [3]
+class TestLargeEta:
+    """All weight on an action that loses the round, the round's best action
+    at log weight -1000 (weight 0 as a float): the expm1 sum cancels to -1."""
 
-    def test_exact_tie_semantics(self):
-        # 0.1 + 0.2 != 0.3 in binary floating point: not a tie
-        assert argmin_set([0.1 + 0.2, 0.3]) == [1]
+    @pytest.mark.parametrize("eta", [40.0, 1e2, 1e3, 1e300])
+    def test_mix_loss_and_gap_from_log_weights(self, eta):
+        snap = WeightSnapshot((0.0, -1000.0))
+        want = -float(np.logaddexp(-eta, -1000.0)) / eta
+        np.testing.assert_allclose(mix_loss(snap, [1.0, 0.0], eta), want, rtol=1e-12)
+        rep = mixability_gap(snap, [1.0, 0.0], eta)
+        assert rep.hedge_loss == 1.0
+        np.testing.assert_allclose(rep.mix_loss, want, rtol=1e-12)
+
+    @pytest.mark.parametrize("eta", [40.0, 1e2, 1e3, 1e300])
+    def test_plain_weight_vector(self, eta):
+        assert mix_loss([1.0, 0.0], [1.0, 0.0], eta) == 1.0
+        assert mixability_gap([1.0, 0.0], [1.0, 0.0], eta).delta == 0.0
 
 
 @st.composite

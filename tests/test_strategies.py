@@ -1,12 +1,22 @@
 """Tests for the strategy state machines and the whole-stream driver."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adahedge.bounds import budget, eta_floor, intro_mstar
-from adahedge.core import CumulativeLoss, hedge_weights
+from adahedge.core import (
+    ACCUMULATED_TOL,
+    LOSS_RANGE_TOL,
+    CumulativeLoss,
+    hedge_and_mix_loss,
+    hedge_weights,
+)
+from adahedge.simulation import IidBernoulli, generate, unit_uniforms
 from adahedge.strategies import (
     AdaHedge,
     DoublingHedge,
@@ -191,7 +201,7 @@ class TestAdaHedgeRollover:
 class TestDoublingHedge:
     def test_segment_two_budget(self):
         state = init(DoublingHedge(2.0), 4)
-        assert state.lstar_budget == pytest.approx(2.0 * math.log(4))
+        assert state.budget == pytest.approx(2.0 * math.log(4))
         # all-ones rounds grow every action's segment loss by 1; the budget
         # 2 ln 4 = 2.77 is reached after round 3
         for _ in range(3):
@@ -199,7 +209,7 @@ class TestDoublingHedge:
         state.act()
         assert state.segment == 2
         assert state.eta == 0.5
-        np.testing.assert_allclose(state.lstar_budget, 8.0 * math.log(4), rtol=1e-13)
+        np.testing.assert_allclose(state.budget, 8.0 * math.log(4), rtol=1e-13)
 
     def test_no_restart_before_budget(self):
         state = init(DoublingHedge(2.0), 4)
@@ -377,3 +387,187 @@ class TestRegretTraceShape:
         ):
             assert len(field) == 40
         assert trace.segment_starts == [1]
+
+
+# sha256 of every trace array, recorded before the exponential-weights
+# states were merged into one class.  K = 6 is in the grid because
+# VariableHedge's first-round weights are exp(-ln K), not 1/K, and the two
+# differ in the last bit there.
+GOLDEN_KINDS = (
+    FollowTheLeader(),
+    FixedHedge(0.3),
+    OracleHedge(),
+    DoublingHedge(2.0),
+    AdaHedge(2.0),
+    VariableHedge(),
+)
+GOLDEN_HORIZONS = {2: 3000, 6: 1000, 256: 400}
+GOLDEN_DIGESTS = {
+    ("uniform", 2, "ftl"): "9d3c0ee00a2a63115b8df7b8854032f80c2da54f03e7170b3a0b6c6f5dc272b3",
+    ("uniform", 2, "fixed_hedge_eta0.3"): "7bd15cad489ad204469a6a4eea27b9918ddab5f2927d08c300979abd8342b4ed",
+    ("uniform", 2, "oracle_hedge"): "656ca5e755dff9b1e64782b044c4c1e95531fa9bf5170de9e75beb00951fa0d4",
+    ("uniform", 2, "doubling_hedge_phi2"): "09f92c537c199520b25ff9a88e43dfe3e488aa6edddd686997a3690a43b0f5c7",
+    ("uniform", 2, "adahedge_phi2"): "4d56d769815c01080f6c5801c9cdaecb43e657c80a5f0ccc6de103e490daf54a",
+    ("uniform", 2, "variable_hedge"): "766ad1baec0417bf6ad6433f730f575de937ca49d29dfdab8ba0288fb2beaa95",
+    ("uniform", 6, "ftl"): "4644936a81469f32bfdf3fc8fb5d5df6c387b7770fb9fd29e4fbc5ddbc163515",
+    ("uniform", 6, "fixed_hedge_eta0.3"): "2900e2bd9dd628910eeee4d7de2a7326dc12ce0ba7755aff8e98f4cffefabe24",
+    ("uniform", 6, "oracle_hedge"): "b085099d4c6784114e951758ba9fc0d129171b6ffd515aff8d9ec8a8b752d573",
+    ("uniform", 6, "doubling_hedge_phi2"): "2dad81cf611d16e34550cafceef1089cd8d7a5f9f70919730784924746784e9d",
+    ("uniform", 6, "adahedge_phi2"): "e3d984d55e936325408c9e2aafcd23ea134c36ab9d78b3830fa43a142b01543b",
+    ("uniform", 6, "variable_hedge"): "2fad0219230724c0e3c1e9bd935a9fe2eecdbc795c14ee8a21334a996417b114",
+    ("uniform", 256, "ftl"): "52adc3cf4ff6ce4ea890960932868cfdede2f39973f5ee8e9df182490648b02c",
+    ("uniform", 256, "fixed_hedge_eta0.3"): "c8c21ab2b63bc31e8205b44bc9ac6b6c5726c0331f252e8ab148262d69b62462",
+    ("uniform", 256, "oracle_hedge"): "66604f0e7797376a84a13c5cbcfb688bdfae57f4ab67155aafa4106dfc961106",
+    ("uniform", 256, "doubling_hedge_phi2"): "8d16524551a9ecec649c0befff3901bfcd906a2449bee344965cec55fcb4c9e3",
+    ("uniform", 256, "adahedge_phi2"): "fc040e02d2544550dec7a2e47c7485e399bff8294c07662236861623283d6e7e",
+    ("uniform", 256, "variable_hedge"): "204725d857715110251bff11471626826900d1aaaa355b276e3df0d49fdae141",
+    ("bernoulli", 2, "ftl"): "f074123d7aa3093d4173c1eedae96cff30f2b489d10191d229007a8916cc1523",
+    ("bernoulli", 2, "fixed_hedge_eta0.3"): "833efa935c3720ba0128e44dfb9528f80e4e7375c0a9818f0a1e7a04fafa2864",
+    ("bernoulli", 2, "oracle_hedge"): "a7e7d13ffdc7993358793c1ab025d5ac5fc00a5bdba9a00ba1123772128982dd",
+    ("bernoulli", 2, "doubling_hedge_phi2"): "7ae42883ef81a8ee3562aa035e3ecc4938f5c4e6a183e142ee0f86eed159e843",
+    ("bernoulli", 2, "adahedge_phi2"): "1d253fb39da5be635de2782b4007c6bb1368e2ff9abd2cd87bbc4360c183c7e8",
+    ("bernoulli", 2, "variable_hedge"): "b805503d5464bce38900e09bfba4d8335eecedc2ac824af25dc0c0f945fd4f19",
+    ("bernoulli", 6, "ftl"): "77e0134639a1e1ffb0c3ce2223e7c2c490a52aa98c705eb2c58190e10d4d20ce",
+    ("bernoulli", 6, "fixed_hedge_eta0.3"): "670f6f37e4fbe5b105cb84efe9c45b378e8bdeda4d387daf14c914535ce4eed6",
+    ("bernoulli", 6, "oracle_hedge"): "c25da9bbeae2a2fae4674b9ee3db6fef087716a47823cdcecb248e9c65522f7c",
+    ("bernoulli", 6, "doubling_hedge_phi2"): "75774e488fb3ad1c85311dbb629f8c2696094c5f4f1b25d07a3ac6841fc116f2",
+    ("bernoulli", 6, "adahedge_phi2"): "66f76ab7fc74e330be31ff8de52a169eed6d3e2d502e90f51ac4f10fccfcfd27",
+    ("bernoulli", 6, "variable_hedge"): "514124aa30f94774ab7c42048858395a805a0928b77aef36a2eeb00c324ac629",
+    ("bernoulli", 256, "ftl"): "f71fd3e7b96cc06c32a01d138e3bbf4373986923757de275750bc40e448a5e72",
+    ("bernoulli", 256, "fixed_hedge_eta0.3"): "e3ab41ab0f3d8984bc0873a8a74f013aea25bda29abda5531c347eeee11e0780",
+    ("bernoulli", 256, "oracle_hedge"): "cd897127234efcfbdb53fb758306f9b53ac8cb8a21f7c24d375f474edde63d09",
+    ("bernoulli", 256, "doubling_hedge_phi2"): "722cee569464cb0e7be9043776a7c03b284d3dda8c2c86dd80afbb4f5a97d386",
+    ("bernoulli", 256, "adahedge_phi2"): "170140dba7a41a558d98fa252eed872704fc8164d7f77a0dc388f967be375469",
+    ("bernoulli", 256, "variable_hedge"): "0eb28e77e04e9347b39cc859c02080bec0489d067786dc5b1ad16f34aa4640d3",
+}
+
+
+def golden_stream(family, k):
+    t_total = GOLDEN_HORIZONS[k]
+    if family == "uniform":
+        return unit_uniforms(1000 + k, t_total * k).reshape(t_total, k)
+    return generate(IidBernoulli(np.linspace(0.3, 0.6, k)), t_total, k)
+
+
+def trace_digest(trace):
+    h = hashlib.sha256()
+    for arr in (
+        trace.agent_loss,
+        trace.cum_agent_loss,
+        trace.best_cum_loss,
+        trace.regret,
+        trace.segment,
+        trace.eta,
+        trace.cum_gap,
+        np.asarray(trace.segment_starts, dtype=np.int64),
+    ):
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+class TestGoldenTraces:
+    @pytest.mark.parametrize("family", ["uniform", "bernoulli"])
+    @pytest.mark.parametrize("k", sorted(GOLDEN_HORIZONS))
+    def test_traces_bitwise_unchanged(self, family, k):
+        stream = golden_stream(family, k)
+        got = {
+            (family, k, kind.slug): trace_digest(run(kind, stream))
+            for kind in GOLDEN_KINDS
+        }
+        want = {key: GOLDEN_DIGESTS[key] for key in got}
+        assert got == want
+
+
+class TestLargeEta:
+    """Fixed rates at which every weighted action's exp(-eta * l) can
+    underflow while the round's best action carries no weight."""
+
+    @pytest.mark.parametrize("eta", [40.0, 1e2, 1e3, 1e300])
+    @pytest.mark.parametrize("family", ["uniform", "bernoulli"])
+    def test_run_stays_finite(self, family, eta):
+        if family == "uniform":
+            arr = unit_uniforms(7, 3000).reshape(1500, 2)
+        else:
+            arr = generate(IidBernoulli((0.35, 0.4, 0.45, 0.5)), 10_000, 1)
+        trace = run(FixedHedge(eta), arr)
+        for field in (trace.agent_loss, trace.regret, trace.cum_gap):
+            assert np.isfinite(field).all()
+        # each round's gap lies in [0, expected loss - min loss]
+        gaps = np.diff(trace.cum_gap, prepend=0.0)
+        assert gaps.min() >= -ACCUMULATED_TOL
+        assert np.all(gaps <= trace.agent_loss - arr.min(axis=1) + ACCUMULATED_TOL)
+
+
+DIFFERENTIAL_KINDS = (
+    FollowTheLeader(),
+    FixedHedge(0.05),
+    FixedHedge(1.0),
+    FixedHedge(1e3),
+    DoublingHedge(1.5),
+    DoublingHedge(2.0),
+    AdaHedge(1.2),
+    AdaHedge(2.0),
+    VariableHedge(),
+)
+
+
+@st.composite
+def kind_and_stream(draw):
+    """A strategy kind and a (T, K) stream with K up to 64.  Uniform draws
+    below ``snap`` become exact 0 losses and those above 1 - snap exact 1
+    losses; the edges may be pushed out by LOSS_RANGE_TOL."""
+    kind = draw(st.sampled_from(DIFFERENTIAL_KINDS))
+    k = draw(st.integers(min_value=2, max_value=64))
+    t_total = draw(st.integers(min_value=1, max_value=60))
+    u = unit_uniforms(draw(st.integers(0, 2**64 - 1)), t_total * k).reshape(t_total, k)
+    snap = draw(st.sampled_from([0.0, 0.2, 0.5]))
+    low, high = draw(
+        st.sampled_from([(0.0, 1.0), (-LOSS_RANGE_TOL, 1.0 + LOSS_RANGE_TOL)])
+    )
+    arr = np.where(u < snap, low, np.where(u >= 1.0 - snap, high, u))
+    return kind, arr
+
+
+def stepwise_trace(kind, arr):
+    """Per-round (eta, segment, played loss, cum gap, best total) from
+    driving ``init`` / ``observe`` by hand, plus the segment starts."""
+    state = init(kind, arr.shape[1])
+    rounds = []
+    for row in arr.tolist():
+        weights = state.weights  # applies a pending rollover
+        eta, segment = state.eta, state.segment
+        if isinstance(kind, FollowTheLeader):
+            played = 0.0
+            for w, l in zip(weights, row):
+                played += w * l
+        else:
+            played = hedge_and_mix_loss(weights, row, eta)[0]
+        state.observe(row)
+        rounds.append((eta, segment, played, state.delta_sum, state.cum.best))
+    return rounds, state.segment_starts
+
+
+class TestStepwiseMatchesRun:
+    @settings(max_examples=150, deadline=None)
+    @given(kind_and_stream())
+    def test_observe_equals_run_bitwise(self, case):
+        kind, arr = case
+        trace = run(kind, arr)
+        rounds, starts = stepwise_trace(kind, arr)
+        got = list(
+            zip(
+                trace.eta.tolist(),
+                trace.segment.tolist(),
+                trace.agent_loss.tolist(),
+                trace.cum_gap.tolist(),
+                trace.best_cum_loss.tolist(),
+            )
+        )
+        assert got == rounds
+        assert trace.segment_starts == starts
+        finite = [trace.agent_loss, trace.cum_agent_loss, trace.regret, trace.cum_gap]
+        if not isinstance(kind, FollowTheLeader):
+            finite.append(trace.eta)
+        assert all(np.isfinite(field).all() for field in finite)
+        assert starts[0] == 1 and starts[-1] <= len(arr)
+        assert all(a < b for a, b in zip(starts, starts[1:]))

@@ -56,6 +56,13 @@ _NEG_INF = float("-inf")
 # strategy kinds (frozen parameter records)
 
 
+def _slug_number(x: float) -> str:
+    """``x`` in ``:g`` form when that reads back as ``x``, else its repr,
+    so that distinct parameters never share a slug."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(x)
+
+
 @dataclass(frozen=True)
 class FollowTheLeader:
     """Uniform play over the actions with the smallest cumulative loss."""
@@ -77,7 +84,7 @@ class FixedHedge:
 
     @property
     def slug(self) -> str:
-        return f"fixed_hedge_eta{self.eta:g}"
+        return f"fixed_hedge_eta{_slug_number(self.eta)}"
 
 
 @dataclass(frozen=True)
@@ -102,7 +109,7 @@ class DoublingHedge:
 
     @property
     def slug(self) -> str:
-        return f"doubling_hedge_phi{self.phi:g}"
+        return f"doubling_hedge_phi{_slug_number(self.phi)}"
 
 
 @dataclass(frozen=True)
@@ -118,7 +125,7 @@ class AdaHedge:
 
     @property
     def slug(self) -> str:
-        return f"adahedge_phi{self.phi:g}"
+        return f"adahedge_phi{_slug_number(self.phi)}"
 
 
 @dataclass(frozen=True)
@@ -186,22 +193,9 @@ class Strategy:
         return CumulativeLoss(tuple(self._totals), self._rounds)
 
     @property
-    def rounds(self) -> int:
-        return self._rounds
-
-    @property
-    def log_weights(self) -> tuple[float, ...]:
-        self._pre_act()
-        return tuple(self._log_weights_list())
-
-    @property
     def weights(self) -> tuple[float, ...]:
         self._pre_act()
         return tuple(self._w)
-
-    @property
-    def segments_started(self) -> int:
-        return len(self.segment_starts)
 
     # -- internal fast path (plain float lists, no validation) --------------
 
@@ -281,7 +275,8 @@ class _HedgeState(Strategy):
         if isinstance(self.kind, AdaHedge):
             return bounds.budget(eta, self.k)
         if isinstance(self.kind, DoublingHedge):
-            return self._two_lnk / (eta * eta)
+            # once eta * eta underflows the budget is out of reach
+            return self._two_lnk / (eta * eta) if eta * eta > 0.0 else math.inf
         return math.inf
 
     def _pre_act(self):
@@ -406,55 +401,38 @@ def run(kind: StrategyKind, losses) -> RegretTrace:
     loss is computed first and a fixed-rate Hedge at oracle_eta is run.
     """
     arr = as_loss_array(losses)
-    t_total, k = arr.shape
+    k = arr.shape[1]
     if isinstance(kind, OracleHedge):
         lstar = float(arr.sum(axis=0).min())
         strat = init(FixedHedge(oracle_eta(lstar, k)), k)
     else:
         strat = init(kind, k)
 
-    rows = arr.tolist()
-    seg_l: list[int] = []
-    eta_l: list[float] = []
-    al_l: list[float] = []
-    cal_l: list[float] = []
-    bl_l: list[float] = []
-    rg_l: list[float] = []
-    gap_l: list[float] = []
-    seg_app = seg_l.append
-    eta_app = eta_l.append
-    al_app = al_l.append
-    cal_app = cal_l.append
-    bl_app = bl_l.append
-    rg_app = rg_l.append
-    gap_app = gap_l.append
+    segment: list[int] = []
+    eta: list[float] = []
+    agent: list[float] = []
+    gap: list[float] = []
+    for row in arr.tolist():
+        strat._pre_act()
+        segment.append(strat.segment)
+        eta.append(strat.eta)
+        agent.append(strat._observe(row))
+        gap.append(strat.delta_sum)
 
-    pre_act = strat._pre_act
-    observe = strat._observe
-    totals = strat._totals
-    cum_agent = 0.0
-    for row in rows:
-        pre_act()
-        seg_app(strat.segment)
-        eta_app(strat.eta)
-        hedge = observe(row)
-        cum_agent += hedge
-        best = min(totals)
-        al_app(hedge)
-        cal_app(cum_agent)
-        bl_app(best)
-        rg_app(cum_agent - best)
-        gap_app(strat.delta_sum)
-
+    # cumsum adds in sequence, as the states' running totals do; + 0.0 maps
+    # the -0.0 a column of -0.0 losses sums to onto the totals' 0.0
+    agent_loss = np.asarray(agent)
+    cum_agent_loss = np.cumsum(agent_loss)
+    best_cum_loss = np.cumsum(arr, axis=0).min(axis=1) + 0.0
     return RegretTrace(
         kind=kind,
         k=k,
-        agent_loss=np.asarray(al_l),
-        cum_agent_loss=np.asarray(cal_l),
-        best_cum_loss=np.asarray(bl_l),
-        regret=np.asarray(rg_l),
-        segment=np.asarray(seg_l, dtype=np.int64),
-        eta=np.asarray(eta_l),
-        cum_gap=np.asarray(gap_l),
+        agent_loss=agent_loss,
+        cum_agent_loss=cum_agent_loss,
+        best_cum_loss=best_cum_loss,
+        regret=cum_agent_loss - best_cum_loss,
+        segment=np.asarray(segment, dtype=np.int64),
+        eta=np.asarray(eta),
+        cum_gap=np.asarray(gap),
         segment_starts=list(strat.segment_starts),
     )

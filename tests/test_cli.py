@@ -2,6 +2,9 @@
 
 import csv
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -186,6 +189,15 @@ class TestRunCommand:
         assert "iid_bernoulli" in stdout
         assert "ftl, adahedge_phi2, fixed_hedge_eta0.5" in stdout
 
+    def test_dry_run_keeps_near_equal_parameters_apart(self, tmp_path, capsys):
+        """Six significant digits cannot tell these two rates apart."""
+        text = VALID.format(out=tmp_path / "never").replace(
+            "ftl, adahedge(phi=2), fixed_hedge(eta=0.5)",
+            "adahedge(phi=1.0000001), adahedge(phi=1.0000002)",
+        )
+        assert main(["run", str(self.write(tmp_path, text)), "--dry-run"]) == 0
+        assert "adahedge_phi1.0000001, adahedge_phi1.0000002" in capsys.readouterr().out
+
     def test_run_writes_all_artifacts(self, tmp_path, capsys):
         out = tmp_path / "out"
         path = self.write(tmp_path, VALID.format(out=out))
@@ -224,6 +236,16 @@ class TestRunCommand:
         text = VALID.format(out=out).replace("fixed_hedge(eta=0.5)", "fixed_hedge(eta=1000)")
         assert main(["run", str(self.write(tmp_path, text))]) == 0
         assert "fixed_hedge_eta1000: final mean regret" in capsys.readouterr().out
+
+    def test_huge_doubling_phi_runs(self, tmp_path, capsys):
+        """At phi = 1e200 the first restart's eta * eta underflows to 0; the
+        budget is then out of reach instead of a division by zero."""
+        text = (
+            "generator = ftl_killer\nhorizon_t = 5000\nrepetitions = 1\nbase_seed = 1\n"
+            f"strategies = doubling_hedge(phi=1e200)\noutput_dir = {tmp_path / 'out'}\n"
+        )
+        assert main(["run", str(self.write(tmp_path, text))]) == 0
+        assert "doubling_hedge_phi1e+200: final mean regret" in capsys.readouterr().out
 
     def test_svg_is_well_formed_with_one_polyline_per_strategy(self, tmp_path):
         out = tmp_path / "out"
@@ -336,6 +358,23 @@ class TestVerifyCommand:
         assert not by_name["gap-posterior-lemma4"].passed
         assert by_name["gap-range-lemma1"].passed
 
+    def test_wrong_kernel_mix_loss_is_caught(self, monkeypatch):
+        """A mix loss off by 1e-6 in the kernel that produces results must
+        trip the chain rule, while the typed per-round API stays correct."""
+        import adahedge.strategies as strategies_mod
+
+        kernel = strategies_mod.hedge_and_mix_loss
+
+        def off_by_a_little(*args):
+            hedge, mix = kernel(*args)
+            return hedge, mix + 1e-6
+
+        monkeypatch.setattr(strategies_mod, "hedge_and_mix_loss", off_by_a_little)
+        results, _ = run_suite(full=False, seed=20110718)
+        by_name = {res.name: res for res in results}
+        assert not by_name["factorization-chain-rule"].passed
+        assert by_name["gap-range-lemma1"].passed
+
     def test_info_only_in_full_profile(self):
         results, info = run_suite(full=False, seed=20110718)
         assert len(results) == 10
@@ -386,3 +425,23 @@ def test_shipped_config_dry_run_plan(name, capsys, monkeypatch):
     path = EXPERIMENTS / f"{name}.cfg"
     assert main(["run", str(path), "--dry-run"]) == 0
     assert capsys.readouterr().out == f"config OK: {path}\n" + DRY_RUN_PLANS[name]
+
+
+def test_tracing_wrappers_bind(tmp_path, monkeypatch):
+    """The benchmark's traced run binds timing wrappers to names in the
+    adahedge modules; it must start and produce a well-formed span tree."""
+    repo = EXPERIMENTS.parent
+    spans = tmp_path / "spans.json"
+    argv = ["bounds", "budget", "--eta", "1", "--k", "4"]
+    proc = subprocess.run(
+        [sys.executable, str(repo / "bench" / "tracing.py"), "cli", str(spans), "--", *argv],
+        env={**os.environ, "PYTHONPATH": str(repo / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    monkeypatch.syspath_prepend(str(repo / "bench"))
+    import tracing
+
+    assert tracing.check_tree(tracing.load(spans)) == []

@@ -16,7 +16,7 @@ from adahedge.core import (
     hedge_and_mix_loss,
     hedge_weights,
 )
-from adahedge.simulation import IidBernoulli, generate, unit_uniforms
+from adahedge.simulation import FtlKiller, IidBernoulli, generate, unit_uniforms
 from adahedge.strategies import (
     AdaHedge,
     DoublingHedge,
@@ -69,6 +69,10 @@ class TestKinds:
         assert DoublingHedge().slug == "doubling_hedge_phi2"
         assert AdaHedge(1.5).slug == "adahedge_phi1.5"
         assert VariableHedge().slug == "variable_hedge"
+        assert FixedHedge(1000.0).slug == "fixed_hedge_eta1000"
+        # parameters that six significant digits cannot tell apart
+        assert AdaHedge(1.0000001).slug == "adahedge_phi1.0000001"
+        assert DoublingHedge(1.0000000001).slug == "doubling_hedge_phi1.0000000001"
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="eta"):
@@ -218,6 +222,15 @@ class TestDoublingHedge:
         state.act()
         assert state.segment == 1
 
+    def test_underflowed_budget_stops_restarting(self):
+        """At phi = 1e200 the second segment's eta * eta underflows to 0:
+        its budget is infinite and the run finishes in two segments."""
+        trace = run(DoublingHedge(1e200), generate(FtlKiller(), 5000, 0))
+        assert trace.segment_starts == [1, 5]
+        assert trace.eta[-1] == 1e-200
+        for field in (trace.agent_loss, trace.cum_agent_loss, trace.regret, trace.cum_gap):
+            assert np.isfinite(field).all()
+
 
 class TestRunKillerStream:
     def test_ftl_regret_t10(self):
@@ -270,6 +283,11 @@ class TestRunInvariants:
         np.testing.assert_allclose(
             trace.regret, trace.cum_agent_loss - trace.best_cum_loss, atol=1e-12
         )
+
+    def test_negative_zero_losses_total_positive_zero(self):
+        """Running totals start at 0.0, and 0.0 + -0.0 is 0.0."""
+        trace = run(FixedHedge(1.0), [[-0.0, 1.0], [-0.0, 0.5]])
+        assert not np.signbit(trace.best_cum_loss).any()
 
     def test_agent_loss_in_unit_range(self):
         for kind in (FollowTheLeader(), FixedHedge(0.3), VariableHedge()):
@@ -529,10 +547,12 @@ def kind_and_stream(draw):
 
 
 def stepwise_trace(kind, arr):
-    """Per-round (eta, segment, played loss, cum gap, best total) from
-    driving ``init`` / ``observe`` by hand, plus the segment starts."""
+    """Per-round (eta, segment, played loss, cum gap, best total, cum played
+    loss, regret) from driving ``init`` / ``observe`` by hand, plus the
+    segment starts."""
     state = init(kind, arr.shape[1])
     rounds = []
+    cum_played = 0.0
     for row in arr.tolist():
         weights = state.weights  # applies a pending rollover
         eta, segment = state.eta, state.segment
@@ -543,7 +563,11 @@ def stepwise_trace(kind, arr):
         else:
             played = hedge_and_mix_loss(weights, row, eta)[0]
         state.observe(row)
-        rounds.append((eta, segment, played, state.delta_sum, state.cum.best))
+        cum_played += played
+        best = state.cum.best
+        rounds.append(
+            (eta, segment, played, state.delta_sum, best, cum_played, cum_played - best)
+        )
     return rounds, state.segment_starts
 
 
@@ -561,6 +585,8 @@ class TestStepwiseMatchesRun:
                 trace.agent_loss.tolist(),
                 trace.cum_gap.tolist(),
                 trace.best_cum_loss.tolist(),
+                trace.cum_agent_loss.tolist(),
+                trace.regret.tolist(),
             )
         )
         assert got == rounds

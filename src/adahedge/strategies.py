@@ -193,9 +193,22 @@ class Strategy:
         return CumulativeLoss(tuple(self._totals), self._rounds)
 
     @property
+    def rounds(self) -> int:
+        return self._rounds
+
+    @property
+    def log_weights(self) -> tuple[float, ...]:
+        self._pre_act()
+        return tuple(self._log_weights_list())
+
+    @property
     def weights(self) -> tuple[float, ...]:
         self._pre_act()
         return tuple(self._w)
+
+    @property
+    def segments_started(self) -> int:
+        return len(self.segment_starts)
 
     # -- internal fast path (plain float lists, no validation) --------------
 

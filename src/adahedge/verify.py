@@ -1,8 +1,10 @@
 """Executable property checks tying the library to its stated guarantees.
 
 The stream properties read ``strategies.run`` traces, so the guarantees are
-checked on the kernel that produces results; the two per-round gap
-properties feed arbitrary weights to the typed ``mixability_gap``.
+checked on the kernel that produces results.  The per-round properties feed
+arbitrary weights to the typed operations: the two gap properties to
+``mixability_gap``, and the chain rule also to ``posterior_update`` and
+``mix_loss``.
 
 Each property draws its randomness from a sub-stream of one suite seed, so
 any failure is replayable by passing the same ``--seed`` to the ``verify``
@@ -27,12 +29,14 @@ from .core import (
     LossVector,
     WeightSnapshot,
     log_marginal_likelihood,
+    mix_loss,
     mixability_gap,
+    posterior_update,
 )
 
-# unused here, but bench/tracing.py binds its timing wrappers to these names
-# in this module's namespace, so they must stay importable from it
-from .core import hedge_weights, mix_loss, posterior_update  # noqa: F401
+# unused here, but bench/tracing.py binds a timing wrapper to this name in
+# this module's namespace, so it must stay importable from it
+from .core import hedge_weights  # noqa: F401
 from .simulation import (
     AlternatingPair,
     Correlated,
@@ -144,9 +148,12 @@ def _check_gap_posterior(seed: int, count: int) -> PropertyResult:
     return PropertyResult(name, ok, detail, seed)
 
 
-def _check_factorization(seed: int, streams: int, t: int = 200, k: int = 5) -> PropertyResult:
+def _check_factorization(
+    seed: int, streams: int, samples: int, t: int = 200, k: int = 5
+) -> PropertyResult:
     """The kernel's summed log mix factors, -eta * (agent loss - gap), equal
-    the direct log marginal likelihood."""
+    the direct log marginal likelihood; and for any prior, the mix losses of
+    losses l and then 1 - l, across one posterior update, sum to 1."""
     name = "factorization-chain-rule"
     worst = 0.0
     for s in range(streams):
@@ -156,8 +163,17 @@ def _check_factorization(seed: int, streams: int, t: int = 200, k: int = 5) -> P
             trace = run(FixedHedge(eta), stream)
             summed = -eta * float(trace.cum_agent_loss[-1] - trace.cum_gap[-1])
             worst = max(worst, abs(log_marginal_likelihood(cum, eta) - summed))
+    # every action loses exactly 1 over the two rounds, so the two factors
+    # multiply to exp(-eta) whatever the prior
+    for w, l, eta in _sample_rounds(derive_seed(seed, streams), samples, 4.0):
+        after = posterior_update(w, l, eta)
+        pair = mix_loss(w, l, eta) + mix_loss(after, [1.0 - x for x in l], eta)
+        worst = max(worst, abs(pair - 1.0))
     ok = worst <= ACCUMULATED_TOL
-    detail = f"{streams} streams (T={t}, K={k}), max |direct - summed| {worst:.3g}"
+    detail = (
+        f"{streams} streams (T={t}, K={k}) and {samples} two-round priors, "
+        f"max |direct - summed| {worst:.3g}"
+    )
     return PropertyResult(name, ok, detail, seed)
 
 
@@ -354,7 +370,7 @@ def _correlated_info(seed: int) -> str:
 _CHECKS = (
     (_check_gap_range, (20_000,), (100_000,)),
     (_check_gap_posterior, (20_000,), (100_000,)),
-    (_check_factorization, (30,), (100,)),
+    (_check_factorization, (30, 2000), (100, 20_000)),
     (_check_gap_budget, (30,), (100,)),
     (_check_depletion_window, (10,), (100,)),
     (_check_restart_regret, (10,), (30, 2000)),

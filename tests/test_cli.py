@@ -375,6 +375,22 @@ class TestVerifyCommand:
         assert not by_name["factorization-chain-rule"].passed
         assert by_name["gap-range-lemma1"].passed
 
+    def test_wrong_posterior_update_is_caught(self, monkeypatch):
+        """A typed posterior update at a rate off by one part in a million
+        must trip the chain rule on sampled priors."""
+        import adahedge.verify as verify_mod
+
+        update = verify_mod.posterior_update
+
+        def off_by_a_little(weights, loss, eta):
+            return update(weights, loss, eta * (1.0 + 1e-6))
+
+        monkeypatch.setattr(verify_mod, "posterior_update", off_by_a_little)
+        results, _ = run_suite(full=False, seed=20110718)
+        by_name = {res.name: res for res in results}
+        assert not by_name["factorization-chain-rule"].passed
+        assert by_name["gap-range-lemma1"].passed
+
     def test_info_only_in_full_profile(self):
         results, info = run_suite(full=False, seed=20110718)
         assert len(results) == 10

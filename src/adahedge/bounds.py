@@ -8,20 +8,15 @@ checked and reported by name; nothing is clamped silently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple, Optional
 
 __all__ = [
     "GOLDEN_RATIO",
-    "BoundInputs",
     "budget",
     "lemma2_bound",
     "eta_floor",
     "theorem1_bound",
     "lemma3_bound",
     "theorem2_leading_factor",
-    "theorem2_leading_term",
-    "Theorem2Leading",
     "lemma4_bound",
     "lemma5_ck",
     "lemma5_bound",
@@ -51,41 +46,6 @@ def _check_phi(phi: float) -> float:
     phi = float(phi)
     _check("phi", math.isfinite(phi) and phi > 1.0, "must be finite and > 1")
     return phi
-
-
-@dataclass(frozen=True)
-class BoundInputs:
-    """Optional bag of bound parameters, range-checked on construction."""
-
-    k: Optional[int] = None
-    eta: Optional[float] = None
-    phi: Optional[float] = None
-    lstar: Optional[float] = None
-    m: Optional[int] = None
-    alpha: Optional[float] = None
-    beta: Optional[float] = None
-    delta_prob: Optional[float] = None
-    tau: Optional[int] = None
-
-    def __post_init__(self):
-        if self.k is not None:
-            _check_k(self.k)
-        if self.eta is not None:
-            _check("eta", math.isfinite(self.eta) and self.eta > 0.0, "must be > 0")
-        if self.phi is not None:
-            _check_phi(self.phi)
-        if self.lstar is not None:
-            _check("lstar", math.isfinite(self.lstar) and self.lstar >= 0.0, "must be >= 0")
-        if self.m is not None:
-            _check("m", float(self.m) == int(self.m) and self.m >= 1, "must be an integer >= 1")
-        if self.alpha is not None:
-            _check("alpha", math.isfinite(self.alpha) and self.alpha > 0.0, "must be > 0")
-        if self.beta is not None:
-            _check("beta", math.isfinite(self.beta) and self.beta >= 0.1, "must be >= 1/10")
-        if self.delta_prob is not None:
-            _check("delta_prob", 0.0 < self.delta_prob <= 1.0, "must be in (0, 1]")
-        if self.tau is not None:
-            _check("tau", float(self.tau) == int(self.tau) and self.tau >= 1, "must be an integer >= 1")
 
 
 def budget(eta: float, k: int) -> float:
@@ -147,25 +107,6 @@ def theorem2_leading_factor(phi: float) -> float:
     """
     phi = _check_phi(phi)
     return phi * math.sqrt(phi * phi - 1.0) / (phi - 1.0)
-
-
-class Theorem2Leading(NamedTuple):
-    """Leading term of the adaptive regret bound plus an explicit marker
-    that a lower-order term of size O(log(lstar + 2) * log k) is omitted."""
-
-    value: float
-    omits_log_term: bool
-
-
-def theorem2_leading_term(lstar: float, k: int, phi: float) -> Theorem2Leading:
-    """factor(phi) * sqrt(4/(e-1) * lstar * ln k), with the omitted-tail marker set."""
-    lstar = float(lstar)
-    _check("lstar", math.isfinite(lstar) and lstar >= 0.0, "must be >= 0")
-    k = _check_k(k)
-    factor = theorem2_leading_factor(phi)
-    return Theorem2Leading(
-        factor * math.sqrt(4.0 / _E1 * lstar * math.log(k)), True
-    )
 
 
 def lemma4_bound(eta: float, wstar: float) -> float:

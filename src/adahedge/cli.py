@@ -22,14 +22,7 @@ from .simulation import (
     _resolve_threads,
     run_experiment,
 )
-from .strategies import (
-    AdaHedge,
-    DoublingHedge,
-    FixedHedge,
-    FollowTheLeader,
-    OracleHedge,
-    VariableHedge,
-)
+from .strategies import KINDS, FollowTheLeader
 from .verify import DEFAULT_SEED, run_suite
 
 __all__ = ["ConfigError", "parse_config", "main"]
@@ -51,15 +44,7 @@ _GENERATORS = {
     "alternating_pair": AlternatingPair,
     "ftl_killer": FtlKiller,
 }
-_STRATEGIES = {
-    "ftl": FollowTheLeader,
-    "follow_the_leader": FollowTheLeader,
-    "fixed_hedge": FixedHedge,
-    "oracle_hedge": OracleHedge,
-    "doubling_hedge": DoublingHedge,
-    "adahedge": AdaHedge,
-    "variable_hedge": VariableHedge,
-}
+_STRATEGIES = {**KINDS, "follow_the_leader": FollowTheLeader}
 # config keys: the experiment's own fields, then each generator's fields
 _TOP_KEYS = {f.name for f in fields(ExperimentConfig)}
 _ALL_KEYS = _TOP_KEYS | {f.name for cls in _GENERATORS.values() for f in fields(cls)}
@@ -254,10 +239,13 @@ def _describe_generator(generator) -> str:
 
 def cmd_run(args) -> int:
     try:
-        text = Path(args.config).read_text()
+        text = Path(args.config).read_text(encoding="utf-8")
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 3
+    except UnicodeDecodeError:
+        print(f"error: {args.config}: config is not UTF-8 text", file=sys.stderr)
+        return 2
     try:
         config = parse_config(text, args.config)
         threads = _resolve_threads(None)
@@ -283,6 +271,13 @@ def cmd_run(args) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        print(
+            f"error: out of memory for horizon_t = {config.horizon_t} and repetitions = "
+            f"{config.repetitions}; lower horizon_t or repetitions",
+            file=sys.stderr,
+        )
+        return 2
     for slug in config.slugs:
         print(
             f"{slug}: final mean regret {format_sig(result.mean_regret[slug][-1])}"

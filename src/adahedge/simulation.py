@@ -15,14 +15,13 @@ alone, independent of platform, thread count or evaluation order.
 Bernoulli sampling emits loss 1 exactly when the uniform draw is < p.
 
 ``run_experiment`` may fan repetitions out over a process pool capped by
-the ``ADAHEDGE_THREADS`` environment variable (default: available cores);
+the ``ADAHEDGE_THREADS`` environment variable and by the CPU count;
 per-repetition results are merged in repetition order, so aggregate output
 is byte-identical for every thread count.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -32,13 +31,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .strategies import (
-    AdaHedge,
-    DoublingHedge,
-    RegretTrace,
-    StrategyKind,
-    run,
-)
+from .strategies import AdaHedge, DoublingHedge, StrategyKind, run
 
 __all__ = [
     "THREADS_ENV",
@@ -313,7 +306,8 @@ def _resolve_threads(threads: Optional[int]) -> int:
     threads = int(threads)
     if threads < 1:
         raise ValueError(f"thread count must be >= 1, got {threads}")
-    return threads
+    # a fork pool starts all its workers at once; more than the cores buy nothing
+    return min(threads, os.cpu_count() or 1)
 
 
 def _simulate_repetition(config: ExperimentConfig, rep: int):

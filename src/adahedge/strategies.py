@@ -18,8 +18,8 @@ round never opens a segment that plays no rounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence, Union
+from dataclasses import dataclass, fields
+from typing import Union
 
 import numpy as np
 
@@ -40,6 +40,7 @@ __all__ = [
     "DoublingHedge",
     "AdaHedge",
     "VariableHedge",
+    "KINDS",
     "StrategyKind",
     "Strategy",
     "RegretTrace",
@@ -63,17 +64,24 @@ def _slug_number(x: float) -> str:
     return short if float(short) == x else repr(x)
 
 
-@dataclass(frozen=True)
-class FollowTheLeader:
-    """Uniform play over the actions with the smallest cumulative loss."""
+class _Kind:
+    """A kind's slug: its ``KINDS`` name, then ``_<field><value>`` per field."""
 
     @property
     def slug(self) -> str:
-        return "ftl"
+        name = next(n for n, cls in KINDS.items() if cls is type(self))
+        return name + "".join(
+            f"_{f.name}{_slug_number(getattr(self, f.name))}" for f in fields(self)
+        )
 
 
 @dataclass(frozen=True)
-class FixedHedge:
+class FollowTheLeader(_Kind):
+    """Uniform play over the actions with the smallest cumulative loss."""
+
+
+@dataclass(frozen=True)
+class FixedHedge(_Kind):
     """Exponential weights at a constant learning rate ``eta``."""
 
     eta: float
@@ -82,61 +90,50 @@ class FixedHedge:
         if not (math.isfinite(self.eta) and self.eta > 0.0):
             raise ValueError(f"eta must be positive and finite, got {self.eta!r}")
 
-    @property
-    def slug(self) -> str:
-        return f"fixed_hedge_eta{_slug_number(self.eta)}"
-
 
 @dataclass(frozen=True)
-class OracleHedge:
+class OracleHedge(_Kind):
     """Fixed-rate Hedge tuned on the stream's final best loss (hindsight)."""
 
-    @property
-    def slug(self) -> str:
-        return "oracle_hedge"
+
+@dataclass(frozen=True)
+class _Restarting(_Kind):
+    """Starts at eta = 1 and divides eta by ``phi`` at each restart."""
+
+    phi: float = 2.0
+
+    def __post_init__(self):
+        if not (math.isfinite(self.phi) and self.phi > 1.0):
+            raise ValueError(f"phi must be finite and > 1, got {self.phi!r}")
 
 
 @dataclass(frozen=True)
-class DoublingHedge:
+class DoublingHedge(_Restarting):
     """Restarts with eta divided by ``phi`` once the best action's loss
     inside the current segment exhausts the segment's loss budget."""
 
-    phi: float = 2.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.phi) and self.phi > 1.0):
-            raise ValueError(f"phi must be finite and > 1, got {self.phi!r}")
-
-    @property
-    def slug(self) -> str:
-        return f"doubling_hedge_phi{_slug_number(self.phi)}"
-
 
 @dataclass(frozen=True)
-class AdaHedge:
+class AdaHedge(_Restarting):
     """Restarts with eta divided by ``phi`` once the cumulative gap between
     expected and mix loss depletes the budget (1/eta + 1/(e-1)) * ln K."""
 
-    phi: float = 2.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.phi) and self.phi > 1.0):
-            raise ValueError(f"phi must be finite and > 1, got {self.phi!r}")
-
-    @property
-    def slug(self) -> str:
-        return f"adahedge_phi{_slug_number(self.phi)}"
-
 
 @dataclass(frozen=True)
-class VariableHedge:
+class VariableHedge(_Kind):
     """Hedge at the decreasing rate min(1, sqrt(2 ln K / L*)) where L* is
     the best cumulative loss seen so far (1 while L* is zero)."""
 
-    @property
-    def slug(self) -> str:
-        return "variable_hedge"
 
+#: Every strategy kind, by the name a config file gives it.
+KINDS = {
+    "ftl": FollowTheLeader,
+    "fixed_hedge": FixedHedge,
+    "oracle_hedge": OracleHedge,
+    "doubling_hedge": DoublingHedge,
+    "adahedge": AdaHedge,
+    "variable_hedge": VariableHedge,
+}
 
 StrategyKind = Union[
     FollowTheLeader, FixedHedge, OracleHedge, DoublingHedge, AdaHedge, VariableHedge
@@ -193,22 +190,9 @@ class Strategy:
         return CumulativeLoss(tuple(self._totals), self._rounds)
 
     @property
-    def rounds(self) -> int:
-        return self._rounds
-
-    @property
-    def log_weights(self) -> tuple[float, ...]:
-        self._pre_act()
-        return tuple(self._log_weights_list())
-
-    @property
     def weights(self) -> tuple[float, ...]:
         self._pre_act()
         return tuple(self._w)
-
-    @property
-    def segments_started(self) -> int:
-        return len(self.segment_starts)
 
     # -- internal fast path (plain float lists, no validation) --------------
 

@@ -65,7 +65,6 @@ class PropertyResult:
     name: str
     passed: bool
     detail: str
-    seed: int
 
 
 def _sample_rounds(seed: int, count: int, eta_hi: float):
@@ -109,26 +108,21 @@ def _antithetic_stream(seed: int, t: int, k: int) -> np.ndarray:
     return out
 
 
-def _check_gap_range(seed: int, count: int) -> PropertyResult:
+def _check_gap_range(seed: int, count: int) -> tuple[bool, str]:
     """Per-round gap stays in [0, eta/8] over random rounds, eta up to 4."""
-    name = "gap-range-lemma1"
     low = math.inf
     excess = -math.inf
-    for i, (w, l, eta) in enumerate(_sample_rounds(seed, count, 4.0)):
-        try:
-            rep = mixability_gap(WeightSnapshot.from_weights(w), LossVector(l), eta)
-        except ValueError as exc:
-            return PropertyResult(name, False, f"sample {i}: {exc}", seed)
+    for w, l, eta in _sample_rounds(seed, count, 4.0):
+        rep = mixability_gap(WeightSnapshot.from_weights(w), LossVector(l), eta)
         low = min(low, rep.delta)
         excess = max(excess, rep.delta - eta / 8.0)
     ok = low >= -PER_OP_TOL and excess <= PER_OP_TOL
     detail = f"{count} samples, min gap {low:.3g}, max gap excess {excess:.3g}"
-    return PropertyResult(name, ok, detail, seed)
+    return ok, detail
 
 
-def _check_gap_posterior(seed: int, count: int) -> PropertyResult:
+def _check_gap_posterior(seed: int, count: int) -> tuple[bool, str]:
     """Gap bounded by (e-2)*eta*(1 - max weight) whenever eta <= 1."""
-    name = "gap-posterior-lemma4"
     samples = _sample_rounds(seed, count, 1.0)
     # corner where the bound is nearly tight: the heavy action loses this
     # round; the gap approaches (e-2)*eta*q as the light weight q -> 0
@@ -145,16 +139,15 @@ def _check_gap_posterior(seed: int, count: int) -> PropertyResult:
             excess, where = over, i
     ok = excess <= PER_OP_TOL
     detail = f"{len(samples)} samples, max bound excess {excess:.3g} (sample {where})"
-    return PropertyResult(name, ok, detail, seed)
+    return ok, detail
 
 
 def _check_factorization(
     seed: int, streams: int, samples: int, t: int = 200, k: int = 5
-) -> PropertyResult:
+) -> tuple[bool, str]:
     """The kernel's summed log mix factors, -eta * (agent loss - gap), equal
     the direct log marginal likelihood; and for any prior, the mix losses of
     losses l and then 1 - l, across one posterior update, sum to 1."""
-    name = "factorization-chain-rule"
     worst = 0.0
     for s in range(streams):
         stream = _uniform_stream(derive_seed(seed, s), t, k)
@@ -174,12 +167,11 @@ def _check_factorization(
         f"{streams} streams (T={t}, K={k}) and {samples} two-round priors, "
         f"max |direct - summed| {worst:.3g}"
     )
-    return PropertyResult(name, ok, detail, seed)
+    return ok, detail
 
 
-def _check_gap_budget(seed: int, streams: int, t: int = 200, k: int = 5) -> PropertyResult:
+def _check_gap_budget(seed: int, streams: int, t: int = 200, k: int = 5) -> tuple[bool, str]:
     """Cumulative gap under (eta*L* + ln K)/(e-1) at every prefix, eta <= 1."""
-    name = "gap-budget-lemma2"
     excess = -math.inf
     for s in range(streams):
         stream = _uniform_stream(derive_seed(seed, s), t, k)
@@ -189,20 +181,19 @@ def _check_gap_budget(seed: int, streams: int, t: int = 200, k: int = 5) -> Prop
             excess = max(excess, max(g - bounds.lemma2_bound(eta, b, k) for g, b in pairs))
     ok = excess <= ACCUMULATED_TOL
     detail = f"{streams} streams, max prefix excess {excess:.3g}"
-    return PropertyResult(name, ok, detail, seed)
+    return ok, detail
 
 
-def _check_depletion_window(seed: int, streams: int, t: int = 2000, k: int = 5) -> PropertyResult:
+def _check_depletion_window(seed: int, streams: int, t: int = 2000, k: int = 5) -> tuple[bool, str]:
     """AdaHedge's first three segments (eta = 1, 1/2, 1/4) each end with the
     gap in [b, b + eta/8) and regret under the square-root bound."""
-    name = "depletion-window-theorem1"
     for s in range(streams):
         stream = _antithetic_stream(derive_seed(seed, s), t, k)
         trace = run(AdaHedge(phi=2.0), stream)
         starts = trace.segment_starts
         if len(starts) < 4:
             detail = f"stream {s}: {len(starts) - 1} depletions within {t} rounds, need 3"
-            return PropertyResult(name, False, detail, seed)
+            return False, detail
         for first, nxt in zip(starts[:3], starts[1:4]):
             lo, hi = first - 1, nxt - 1  # the segment's rounds, as a slice
             eta = float(trace.eta[lo])
@@ -210,14 +201,14 @@ def _check_depletion_window(seed: int, streams: int, t: int = 2000, k: int = 5) 
             gap = float(trace.cum_gap[hi - 1])
             if not (b <= gap < b + eta / 8.0 + PER_OP_TOL):
                 detail = f"stream {s}, eta={eta}: gap {gap} left window [b, b+eta/8)"
-                return PropertyResult(name, False, detail, seed)
+                return False, detail
             lstar = float(stream[lo:hi].sum(axis=0).min())
             regret = float(trace.agent_loss[lo:hi].sum()) - lstar
             limit = bounds.theorem1_bound(lstar, k)
             if not (regret < limit + ACCUMULATED_TOL):
                 detail = f"stream {s}, eta={eta}: regret {regret:.6g} >= bound {limit:.6g}"
-                return PropertyResult(name, False, detail, seed)
-    return PropertyResult(name, True, f"{3 * streams} depletion windows inside bounds", seed)
+                return False, detail
+    return True, f"{3 * streams} depletion windows inside bounds"
 
 
 def _lemma3_excess(trace, k: int, phi: float) -> float:
@@ -226,9 +217,8 @@ def _lemma3_excess(trace, k: int, phi: float) -> float:
     return float(np.max(trace.regret - limits))
 
 
-def _check_restart_regret(seed: int, streams: int, t: int = 600) -> PropertyResult:
+def _check_restart_regret(seed: int, streams: int, t: int = 600) -> tuple[bool, str]:
     """AdaHedge regret stays below the m-segment restart bound every round."""
-    name = "restart-regret-lemma3"
     excess = -math.inf
     for s in range(streams):
         k = 2 + (s % 2) * 3  # alternate K=2 and K=5
@@ -239,13 +229,12 @@ def _check_restart_regret(seed: int, streams: int, t: int = 600) -> PropertyResu
     excess = max(excess, _lemma3_excess(run(AdaHedge(phi=2.0), killer), 2, 2.0))
     ok = excess < ACCUMULATED_TOL
     detail = f"{streams} random streams + leader trap, max regret excess {excess:.3g}"
-    return PropertyResult(name, ok, detail, seed)
+    return ok, detail
 
 
-def _check_alternating(seed: int, t: int) -> PropertyResult:
+def _check_alternating(seed: int, t: int) -> tuple[bool, str]:
     """Deterministic easy case: leader-following regret at most 1, segment
     count capped by the two-action m* formula, and a flat regret tail."""
-    name = "alternating-easy-case"
     spec = AlternatingPair(a=0.2, b=0.6, eps=0.1)
     alpha = spec.b - spec.a - 2.0 * spec.eps  # per-round divergence guarantee
     stream = generate(spec, t, 0)
@@ -268,23 +257,21 @@ def _check_alternating(seed: int, t: int) -> PropertyResult:
         f"T={t}: leader regret {ftl.regret[-1]:.4g}, "
         f"{started} segments <= {cap}, tail rise {plateau:.3g}"
     )
-    return PropertyResult(name, not problems, detail, seed)
+    return not problems, detail
 
 
-def _check_leader_trap(seed: int) -> PropertyResult:
+def _check_leader_trap(seed: int) -> tuple[bool, str]:
     """Leader play forfeits at least T/2 - 1 on the alternating trap."""
-    name = "leader-trap-floor"
     t = 1000
     trace = run(FollowTheLeader(), generate(FtlKiller(), t, 0))
     final = float(trace.regret[-1])
     ok = final >= t / 2 - 1
-    return PropertyResult(name, ok, f"T={t}: regret {final} >= {t // 2 - 1}", seed)
+    return ok, f"T={t}: regret {final} >= {t // 2 - 1}"
 
 
-def _check_posterior_tail(seed: int, t: int) -> PropertyResult:
+def _check_posterior_tail(seed: int, t: int) -> tuple[bool, str]:
     """Summed off-leader posterior mass on exact-linear-gap streams stays
     below the closed-form tail constant times 1/eta."""
-    name = "posterior-tail-lemma5"
     excess = -math.inf
     for k in (2, 4):
         for alpha in (0.2, 1.0):
@@ -296,13 +283,12 @@ def _check_posterior_tail(seed: int, t: int) -> PropertyResult:
                 excess = max(excess, tail - bounds.lemma5_bound(k, alpha, 1.0, eta))
     ok = excess <= ACCUMULATED_TOL
     detail = f"T={t} exact-gap streams, max tail excess {excess:.3g}"
-    return PropertyResult(name, ok, detail, seed)
+    return ok, detail
 
 
-def _check_bound_domain(seed: int) -> PropertyResult:
+def _check_bound_domain(seed: int) -> tuple[bool, str]:
     """Every calculator is finite (and nonnegative where real-valued) on a
     grid of in-domain parameters."""
-    name = "bound-domain-grid"
     bad = []
 
     def real(label, value):
@@ -346,7 +332,7 @@ def _check_bound_domain(seed: int) -> PropertyResult:
             if not isinstance(tau, int):
                 bad.append(f"lemma6_tau({mstar},...) not an integer: {tau!r}")
     detail = "; ".join(bad) if bad else "all grid evaluations finite and in range"
-    return PropertyResult(name, not bad, detail, seed)
+    return not bad, detail
 
 
 def _correlated_info(seed: int) -> str:
@@ -366,18 +352,19 @@ def _correlated_info(seed: int) -> str:
     )
 
 
-# (check, quick-profile arguments, full-profile arguments), in report order
+# (property name, check, quick-profile arguments, full-profile arguments),
+# in report order
 _CHECKS = (
-    (_check_gap_range, (20_000,), (100_000,)),
-    (_check_gap_posterior, (20_000,), (100_000,)),
-    (_check_factorization, (30, 2000), (100, 20_000)),
-    (_check_gap_budget, (30,), (100,)),
-    (_check_depletion_window, (10,), (100,)),
-    (_check_restart_regret, (10,), (30, 2000)),
-    (_check_alternating, (20_000,), (100_000,)),
-    (_check_leader_trap, (), ()),
-    (_check_posterior_tail, (2000,), (5000,)),
-    (_check_bound_domain, (), ()),
+    ("gap-range-lemma1", _check_gap_range, (20_000,), (100_000,)),
+    ("gap-posterior-lemma4", _check_gap_posterior, (20_000,), (100_000,)),
+    ("factorization-chain-rule", _check_factorization, (30, 2000), (100, 20_000)),
+    ("gap-budget-lemma2", _check_gap_budget, (30,), (100,)),
+    ("depletion-window-theorem1", _check_depletion_window, (10,), (100,)),
+    ("restart-regret-lemma3", _check_restart_regret, (10,), (30, 2000)),
+    ("alternating-easy-case", _check_alternating, (20_000,), (100_000,)),
+    ("leader-trap-floor", _check_leader_trap, (), ()),
+    ("posterior-tail-lemma5", _check_posterior_tail, (2000,), (5000,)),
+    ("bound-domain-grid", _check_bound_domain, (), ()),
 )
 
 
@@ -389,9 +376,12 @@ def run_suite(*, full: bool = False, seed: int = DEFAULT_SEED):
     correlated-losses experiment for the informational segment report.
     """
     seed = int(seed)
-    results = [
-        check(derive_seed(seed, 1000 + i), *(full_args if full else quick_args))
-        for i, (check, quick_args, full_args) in enumerate(_CHECKS)
-    ]
+    results = []
+    for i, (name, check, quick_args, full_args) in enumerate(_CHECKS):
+        try:
+            ok, detail = check(derive_seed(seed, 1000 + i), *(full_args if full else quick_args))
+        except (ValueError, ArithmeticError) as exc:  # an op refused its input
+            ok, detail = False, f"raised {type(exc).__name__}: {exc}"
+        results.append(PropertyResult(name, ok, detail))
     info = [_correlated_info(seed)] if full else []
     return results, info

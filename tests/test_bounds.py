@@ -13,7 +13,6 @@ from adahedge import bounds
 from adahedge.core import LossVector, WeightSnapshot, posterior_update
 from adahedge.bounds import (
     GOLDEN_RATIO,
-    BoundInputs,
     budget,
     eta_floor,
     intro_mstar,
@@ -25,7 +24,6 @@ from adahedge.bounds import (
     lemma6_tau,
     theorem1_bound,
     theorem2_leading_factor,
-    theorem2_leading_term,
     theorem3_mstar,
 )
 
@@ -153,15 +151,6 @@ class TestLeadingFactor:
         grid = [round(1.1 + 0.1 * i, 1) for i in range(20)]
         assert all(theorem2_leading_factor(phi) >= best for phi in grid)
 
-    def test_leading_term_value_and_marker(self):
-        lstar, k = 250.0, 4
-        term = theorem2_leading_term(lstar, k, 2.0)
-        assert term.omits_log_term is True
-        expected = theorem2_leading_factor(2.0) * math.sqrt(
-            4.0 / E1 * lstar * math.log(k)
-        )
-        np.testing.assert_allclose(term.value, expected, rtol=1e-14)
-
 
 class TestLemma4Bound:
     def test_converged_posterior_is_zero(self):
@@ -264,31 +253,6 @@ class TestLemma6Tau:
         """beta must exceed 1/2 for the horizon exponent to be positive."""
         with pytest.raises(ValueError, match="beta"):
             lemma6_tau(4, 2, 0.2, 0.5, 2.0)
-
-
-class TestBoundInputs:
-    def test_accepts_valid_bag(self):
-        BoundInputs(k=4, eta=0.5, phi=2.0, lstar=10.0, m=3, alpha=0.2, beta=1.0,
-                    delta_prob=1.0, tau=16)
-
-    @pytest.mark.parametrize(
-        "kwargs,param",
-        [
-            ({"k": 1}, "k"),
-            ({"eta": 0.0}, "eta"),
-            ({"phi": 1.0}, "phi"),
-            ({"lstar": -1.0}, "lstar"),
-            ({"m": 0}, "m"),
-            ({"alpha": 0.0}, "alpha"),
-            ({"beta": 0.05}, "beta"),
-            ({"delta_prob": 0.0}, "delta_prob"),
-            ({"delta_prob": 1.5}, "delta_prob"),
-            ({"tau": 0}, "tau"),
-        ],
-    )
-    def test_rejects_out_of_range(self, kwargs, param):
-        with pytest.raises(ValueError, match=param):
-            BoundInputs(**kwargs)
 
 
 class TestDomainSanity:

@@ -1,19 +1,23 @@
 """Tests for config parsing, the CLI commands and their file outputs."""
 
 import csv
+import importlib
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import pytest
 
+import adahedge
 from adahedge.cli import ConfigError, main, parse_config
 from adahedge.reports import SUMMARY_HEADER, TRACE_HEADER, format_sig
 from adahedge.simulation import AlternatingPair, Correlated, IidBernoulli
-from adahedge.strategies import AdaHedge, FixedHedge, FollowTheLeader
+from adahedge.strategies import KINDS, AdaHedge, FixedHedge, FollowTheLeader
 from adahedge.verify import run_suite
 
 EXPERIMENTS = Path(__file__).resolve().parent.parent / "experiments"
@@ -93,6 +97,19 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="fixed_hedge requires eta"):
             parse_config(text, "cfg")
 
+    @pytest.mark.parametrize("name", sorted(KINDS))
+    def test_every_kind_parses_under_its_name(self, name):
+        required = [f"{f.name}=2" for f in fields(KINDS[name]) if f.default is MISSING]
+        entry = f"{name}({', '.join(required)})" if required else name
+        text = VALID.format(out="x").replace("ftl, adahedge(phi=2), fixed_hedge(eta=0.5)", entry)
+        (kind,) = parse_config(text).strategies
+        assert type(kind) is KINDS[name]
+        assert kind.slug.startswith(name)
+
+    def test_follow_the_leader_is_ftl(self):
+        text = VALID.format(out="x").replace("ftl,", "follow_the_leader,")
+        assert parse_config(text).strategies[0].slug == "ftl"
+
     @pytest.mark.parametrize(
         "entry,message",
         [("adahedge(phi=1)", "phi must be"), ("fixed_hedge(eta=nan)", "eta must be")],
@@ -169,6 +186,34 @@ class TestRunCommand:
         rc = main(["run", str(tmp_path / "nope.cfg")])
         assert rc == 3
         assert "cannot read config" in capsys.readouterr().err
+
+    def test_non_utf8_config(self, tmp_path, capsys):
+        path = tmp_path / "exp.cfg"
+        path.write_bytes(b"\xff\xfe")
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: config is not UTF-8 text\n"
+
+    def test_out_of_memory_names_the_sizes(self, tmp_path, capsys, monkeypatch):
+        """Stands in for the allocation a huge horizon fails; nothing is
+        allocated for real."""
+        import adahedge.cli as cli_mod
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli_mod, "run_experiment", no_memory)
+        text = VALID.format(out=tmp_path / "out").replace(
+            "horizon_t = 40", "horizon_t = 100000000000"
+        )
+        assert main(["run", str(self.write(tmp_path, text))]) == 2
+        err = capsys.readouterr().err
+        assert "horizon_t = 100000000000" in err and "repetitions = 3" in err
+
+    def test_dry_run_caps_threads_at_cpu_count(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("ADAHEDGE_THREADS", "1000000")
+        path = self.write(tmp_path, VALID.format(out=tmp_path / "never"))
+        assert main(["run", str(path), "--dry-run"]) == 0
+        assert f"  threads     {os.cpu_count() or 1}\n" in capsys.readouterr().out
 
     def test_invalid_config_names_line(self, tmp_path, capsys):
         path = self.write(
@@ -391,6 +436,24 @@ class TestVerifyCommand:
         assert not by_name["factorization-chain-rule"].passed
         assert by_name["gap-range-lemma1"].passed
 
+    def test_refused_round_is_a_fail(self, monkeypatch, capsys):
+        """A typed op that refuses a round fails its property; verify still
+        reports every property and exits 1."""
+        import adahedge.core as core_mod
+
+        kernel = core_mod.hedge_and_mix_loss
+
+        def gap_too_wide(*args):
+            hedge, mix = kernel(*args)
+            return hedge, mix - 1.0
+
+        monkeypatch.setattr(core_mod, "hedge_and_mix_loss", gap_too_wide)
+        assert main(["verify", "--quick"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL gap-range-lemma1: raised ValueError: gap" in out
+        assert "FAIL gap-posterior-lemma4: raised ValueError: gap" in out
+        assert out.count("PASS") + out.count("FAIL") == 10
+
     def test_info_only_in_full_profile(self):
         results, info = run_suite(full=False, seed=20110718)
         assert len(results) == 10
@@ -461,3 +524,13 @@ def test_tracing_wrappers_bind(tmp_path, monkeypatch):
     import tracing
 
     assert tracing.check_tree(tracing.load(spans)) == []
+
+
+@pytest.mark.parametrize(
+    "module", sorted(info.name for info in pkgutil.iter_modules(adahedge.__path__))
+)
+def test_all_names_exist(module):
+    """bench/tracing.py looks up every name in bounds.__all__; a stale entry
+    in any module's __all__ would break such a lookup."""
+    mod = importlib.import_module(f"adahedge.{module}")
+    assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []

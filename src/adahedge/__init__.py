@@ -28,7 +28,6 @@ from .strategies import (
     OracleHedge,
     RegretTrace,
     Strategy,
-    StrategyKind,
     VariableHedge,
     init,
     oracle_eta,
@@ -40,7 +39,6 @@ from .simulation import (
     Correlated,
     ExperimentConfig,
     FtlKiller,
-    GeneratorSpec,
     IidBernoulli,
     SegmentStats,
     derive_seed,

@@ -179,7 +179,10 @@ def lemma6_tau(mstar: int, k: int, alpha: float, beta: float, phi: float) -> int
     """Horizon floor(8*ln(k)*phi**((mstar-1)*(2-1/beta)) - 8*(e-2)*C + 1)
     by which a diverging stream can no longer exceed mstar segments.
 
-    Requires beta > 1/2 so that the exponent 2 - 1/beta is positive.
+    A horizon is a round, so the result is at least 1: once the formula
+    drops below round 1 (a large tail constant C), the segment cap holds
+    from round 1 on.  Requires beta > 1/2 so that the exponent 2 - 1/beta
+    is positive.
     """
     _check("mstar", float(mstar) == int(mstar) and mstar >= 1, "must be an integer >= 1")
     mstar = int(mstar)
@@ -189,4 +192,4 @@ def lemma6_tau(mstar: int, k: int, alpha: float, beta: float, phi: float) -> int
     k = _check_k(k)
     phi = _check_phi(phi)
     value = 8.0 * math.log(k) * phi ** ((mstar - 1) * (2.0 - 1.0 / beta)) - 8.0 * _E2 * ck + 1.0
-    return math.floor(value)
+    return max(1, math.floor(value))

@@ -13,15 +13,7 @@ from pathlib import Path
 
 from . import bounds
 from .reports import format_sig, write_regret_svg
-from .simulation import (
-    AlternatingPair,
-    Correlated,
-    ExperimentConfig,
-    FtlKiller,
-    IidBernoulli,
-    _resolve_threads,
-    run_experiment,
-)
+from .simulation import GENERATORS, ExperimentConfig, _resolve_threads, run_experiment
 from .strategies import KINDS, FollowTheLeader
 from .verify import DEFAULT_SEED, run_suite
 
@@ -38,16 +30,10 @@ class ConfigError(Exception):
         super().__init__(f"{where}: {message}")
 
 
-_GENERATORS = {
-    "iid_bernoulli": IidBernoulli,
-    "correlated": Correlated,
-    "alternating_pair": AlternatingPair,
-    "ftl_killer": FtlKiller,
-}
 _STRATEGIES = {**KINDS, "follow_the_leader": FollowTheLeader}
 # config keys: the experiment's own fields, then each generator's fields
 _TOP_KEYS = {f.name for f in fields(ExperimentConfig)}
-_ALL_KEYS = _TOP_KEYS | {f.name for cls in _GENERATORS.values() for f in fields(cls)}
+_ALL_KEYS = _TOP_KEYS | {f.name for cls in GENERATORS.values() for f in fields(cls)}
 
 
 def _split_outside_parens(text: str, path, line_no: int) -> list[str]:
@@ -159,13 +145,13 @@ def parse_config(text: str, path="<config>") -> ExperimentConfig:
 
     gen_name, gen_line = need("generator")
     gen_name = gen_name.lower()
-    if gen_name not in _GENERATORS:
+    if gen_name not in GENERATORS:
         raise ConfigError(
             path,
             gen_line,
-            f"unknown generator {gen_name!r} (expected one of {sorted(_GENERATORS)})",
+            f"unknown generator {gen_name!r} (expected one of {sorted(GENERATORS)})",
         )
-    gen_fields = fields(_GENERATORS[gen_name])
+    gen_fields = fields(GENERATORS[gen_name])
     gen_keys = {f.name for f in gen_fields}
     for key, (_, line_no) in entries.items():
         if key not in _TOP_KEYS and key not in gen_keys:
@@ -186,7 +172,7 @@ def parse_config(text: str, path="<config>") -> ExperimentConfig:
         else:
             params[f.name] = _parse_float(raw, f.name, path, line_no)
     try:
-        generator = _GENERATORS[gen_name](**params)
+        generator = GENERATORS[gen_name](**params)
     except ValueError as exc:  # generator invariant violations
         raise ConfigError(path, gen_line, str(exc))
 
@@ -228,7 +214,7 @@ def parse_config(text: str, path="<config>") -> ExperimentConfig:
 
 
 def _describe_generator(generator) -> str:
-    name = next(n for n, cls in _GENERATORS.items() if isinstance(generator, cls))
+    name = next(n for n, cls in GENERATORS.items() if isinstance(generator, cls))
     params = []
     for f in fields(generator):
         value = getattr(generator, f.name)

@@ -213,6 +213,19 @@ class RoundReport:
 # low-level kernels (shared by the typed operations and the strategy loops)
 
 
+def _logsumexp(values: Sequence[float]) -> float:
+    """log(sum_i exp(v_i)), shifted by the max and summed in sequence; -inf
+    when every value is.  The shift is exact, so values already shifted to
+    a max of +-0.0 sum to the same bits as without it."""
+    top = max(values)
+    if top == _NEG_INF:
+        return top
+    s = 0.0
+    for v in values:
+        s += math.exp(v - top)
+    return top + math.log(s)
+
+
 def log_weights_from_totals(totals: Sequence[float], eta: float) -> list[float]:
     """Normalised log weights  -eta*L_k - log(sum_j exp(-eta*L_j)).
 
@@ -267,11 +280,7 @@ def hedge_and_mix_loss(
     if log_weights is None:
         log_weights = [math.log(w / wsum) if w > 0.0 else _NEG_INF for w in weights]
     shifted = [a - eta * (l - m) for a, l in zip(log_weights, losses)]
-    top = max(shifted)
-    s = 0.0
-    for v in shifted:
-        s += math.exp(v - top)
-    return hedge / wsum, m - (top + math.log(s)) / eta
+    return hedge / wsum, m - _logsumexp(shifted) / eta
 
 
 # ---------------------------------------------------------------------------
@@ -327,13 +336,9 @@ def posterior_update(weights, loss, eta: float) -> WeightSnapshot:
         lw = WeightSnapshot.from_weights(weights).log_weights
     l = _coerce_losses(loss, len(lw))
     shifted = [a - eta * b for a, b in zip(lw, l)]
-    m = max(shifted)
-    if m == _NEG_INF:
+    log_norm = _logsumexp(shifted)
+    if log_norm == _NEG_INF:
         raise ValueError("all weights are zero after the update")
-    s = 0.0
-    for v in shifted:
-        s += math.exp(v - m)
-    log_norm = m + math.log(s)
     return WeightSnapshot(tuple(v - log_norm for v in shifted))
 
 
@@ -346,7 +351,5 @@ def log_marginal_likelihood(cum: CumulativeLoss, eta: float) -> float:
     """
     eta = _check_eta(eta)
     best = min(cum.totals)
-    s = 0.0
-    for t in cum.totals:
-        s += math.exp(-eta * (t - best))
-    return -eta * best + math.log(s) - math.log(cum.k)
+    scaled = [-eta * (t - best) for t in cum.totals]
+    return -eta * best + _logsumexp(scaled) - math.log(cum.k)

@@ -9,7 +9,6 @@ per strategy (no plotting dependency).
 
 from __future__ import annotations
 
-import csv
 import math
 from pathlib import Path
 from xml.sax.saxutils import escape
@@ -39,10 +38,15 @@ _PALETTE = [
     "#e377c2",
 ]
 
+# rows as the csv module writes them: comma-separated and \r\n-terminated
+_SIG = "%.9g"
+_TRACE_ROW = f"%d,{_SIG},{_SIG},{_SIG},%d\r\n"
+_SUMMARY_ROW = f"%s,{_SIG},{_SIG},%s,%s,%s\r\n"
+
 
 def format_sig(x: float) -> str:
     """Nine significant digits; inf/nan print as inf/nan."""
-    return f"{float(x):.9g}"
+    return _SIG % float(x)
 
 
 def write_trace_csvs(result, outdir) -> list[Path]:
@@ -52,23 +56,13 @@ def write_trace_csvs(result, outdir) -> list[Path]:
     paths = []
     for slug in result.slugs:
         path = outdir / f"trace_{slug}.csv"
+        # each header name after "round" is the result's column of that name;
+        # the arrays are iterated directly, never copied to lists
+        columns = [getattr(result, name)[slug] for name in TRACE_HEADER[1:]]
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(TRACE_HEADER)
-            mr = result.mean_regret[slug]
-            mc = result.mean_cum_loss[slug]
-            me = result.mean_eta[slug]
-            ev = result.segment_events[slug]
-            for t in range(len(mr)):
-                writer.writerow(
-                    [
-                        t + 1,
-                        format_sig(mr[t]),
-                        format_sig(mc[t]),
-                        format_sig(me[t]),
-                        int(ev[t]),
-                    ]
-                )
+            fh.write(",".join(TRACE_HEADER) + "\r\n")
+            rounds = range(1, len(columns[0]) + 1)
+            fh.writelines(_TRACE_ROW % row for row in zip(rounds, *columns))
         paths.append(path)
     return paths
 
@@ -78,21 +72,13 @@ def write_summary_csv(result, outdir) -> Path:
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / "summary.csv"
     cfg = result.config
+    run = (cfg.repetitions, cfg.horizon_t, cfg.base_seed)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_HEADER)
+        fh.write(",".join(SUMMARY_HEADER) + "\r\n")
         for slug in result.slugs:
             segs = result.segments_started[slug]
-            writer.writerow(
-                [
-                    slug,
-                    format_sig(result.mean_regret[slug][-1]),
-                    format_sig(segs.sum() / len(segs)),
-                    cfg.repetitions,
-                    cfg.horizon_t,
-                    cfg.base_seed,
-                ]
-            )
+            final = result.mean_regret[slug][-1]
+            fh.write(_SUMMARY_ROW % (slug, final, segs.sum() / len(segs), *run))
     return path
 
 

@@ -27,11 +27,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
-from .strategies import AdaHedge, DoublingHedge, StrategyKind, run
+from .strategies import AdaHedge, DoublingHedge, _Kind, run
 
 __all__ = [
     "THREADS_ENV",
@@ -39,7 +39,7 @@ __all__ = [
     "Correlated",
     "AlternatingPair",
     "FtlKiller",
-    "GeneratorSpec",
+    "GENERATORS",
     "ExperimentConfig",
     "AggregateResult",
     "SegmentStats",
@@ -104,8 +104,14 @@ def _check_prob(name: str, value: float) -> float:
     return value
 
 
+class _Generator:
+    """A loss-stream generator over ``k`` actions; two unless it says otherwise."""
+
+    k = 2
+
+
 @dataclass(frozen=True)
-class IidBernoulli:
+class IidBernoulli(_Generator):
     """Independent 0/1 losses; action k suffers loss 1 with probs[k]."""
 
     probs: tuple[float, ...]
@@ -122,7 +128,7 @@ class IidBernoulli:
 
 
 @dataclass(frozen=True)
-class Correlated:
+class Correlated(_Generator):
     """Two actions whose 0/1 losses share a per-round hard/easy regime.
 
     A hard round (probability ``hard_prob``) gives action 1 loss 1 with
@@ -139,13 +145,9 @@ class Correlated:
         _check_prob("p1", self.p1)
         _check_prob("p2", self.p2)
 
-    @property
-    def k(self) -> int:
-        return 2
-
 
 @dataclass(frozen=True)
-class AlternatingPair:
+class AlternatingPair(_Generator):
     """Deterministic two-action stream: odd rounds (a+eps, b-eps), even
     rounds (a-eps, b+eps).  Action 2's total falls behind by at least
     (b - a - 2*eps) per round pair."""
@@ -163,26 +165,24 @@ class AlternatingPair:
         if not (b - a > 2.0 * eps):
             raise ValueError("need b - a > 2*eps so action 1 stays ahead")
 
-    @property
-    def k(self) -> int:
-        return 2
-
 
 @dataclass(frozen=True)
-class FtlKiller:
+class FtlKiller(_Generator):
     """Deterministic leader trap: action 1 yields 0.5, 0, 1, 0, 1, ...;
     action 2 yields 0, 1, 0, 1, 0, ...  Leader play loses every round
     after the first."""
 
-    @property
-    def k(self) -> int:
-        return 2
+
+#: Every generator, by the name a config file gives it.
+GENERATORS = {
+    "iid_bernoulli": IidBernoulli,
+    "correlated": Correlated,
+    "alternating_pair": AlternatingPair,
+    "ftl_killer": FtlKiller,
+}
 
 
-GeneratorSpec = Union[IidBernoulli, Correlated, AlternatingPair, FtlKiller]
-
-
-def generate(spec: GeneratorSpec, horizon_t: int, seed: int) -> np.ndarray:
+def generate(spec: _Generator, horizon_t: int, seed: int) -> np.ndarray:
     """Loss stream of shape (horizon_t, K) for one repetition seed."""
     t_total = int(horizon_t)
     if t_total < 1:
@@ -229,10 +229,10 @@ def generate(spec: GeneratorSpec, horizon_t: int, seed: int) -> np.ndarray:
 class ExperimentConfig:
     """One experiment: a generator, a horizon, a strategy roster and a seed."""
 
-    generator: GeneratorSpec
+    generator: _Generator
     horizon_t: int
     repetitions: int
-    strategies: tuple[StrategyKind, ...]
+    strategies: tuple[_Kind, ...]
     base_seed: int
     output_dir: Optional[Path] = None
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Union
 
 import numpy as np
 
@@ -41,7 +40,6 @@ __all__ = [
     "AdaHedge",
     "VariableHedge",
     "KINDS",
-    "StrategyKind",
     "Strategy",
     "RegretTrace",
     "init",
@@ -135,10 +133,6 @@ KINDS = {
     "variable_hedge": VariableHedge,
 }
 
-StrategyKind = Union[
-    FollowTheLeader, FixedHedge, OracleHedge, DoublingHedge, AdaHedge, VariableHedge
-]
-
 
 def oracle_eta(lstar: float, k: int) -> float:
     """Hindsight tuning sqrt(2 ln K / L*); 1 when the best loss is zero."""
@@ -159,7 +153,7 @@ def oracle_eta(lstar: float, k: int) -> float:
 class Strategy:
     """Common state: cumulative losses, round count, segment bookkeeping."""
 
-    def __init__(self, kind: StrategyKind, k: int):
+    def __init__(self, kind: _Kind, k: int):
         if int(k) != k or k < 2:
             raise ValueError(f"need an integer number of actions >= 2, got {k!r}")
         self.kind = kind
@@ -217,11 +211,7 @@ class _FtlState(Strategy):
         if self._fresh != self._rounds:
             tot = self._totals
             m = min(tot)
-            n = 0
-            for v in tot:
-                if v == m:
-                    n += 1
-            inv = 1.0 / n
+            inv = 1.0 / tot.count(m)
             self._w = [inv if v == m else 0.0 for v in tot]
             self._fresh = self._rounds
 
@@ -314,7 +304,7 @@ class _HedgeState(Strategy):
         return hedge
 
 
-def init(kind: StrategyKind, k: int) -> Strategy:
+def init(kind: _Kind, k: int) -> Strategy:
     """Fresh state for ``kind`` over ``k`` actions, uniform first-round play."""
     if isinstance(kind, FollowTheLeader):
         return _FtlState(kind, k)
@@ -323,7 +313,7 @@ def init(kind: StrategyKind, k: int) -> Strategy:
             "OracleHedge needs the stream's final best loss; use run(), or "
             "FixedHedge(oracle_eta(lstar, k)) once lstar is known"
         )
-    if isinstance(kind, (FixedHedge, DoublingHedge, AdaHedge, VariableHedge)):
+    if isinstance(kind, tuple(KINDS.values())):  # every other kind is a Hedge schedule
         return _HedgeState(kind, k)
     raise TypeError(f"unknown strategy kind {kind!r}")
 
@@ -366,7 +356,7 @@ class RegretTrace:
     there: leader play is the infinite-rate limit).
     """
 
-    kind: StrategyKind
+    kind: _Kind
     k: int
     agent_loss: np.ndarray
     cum_agent_loss: np.ndarray
@@ -390,7 +380,7 @@ class RegretTrace:
         return len(self.segment_starts)
 
 
-def run(kind: StrategyKind, losses) -> RegretTrace:
+def run(kind: _Kind, losses) -> RegretTrace:
     """Play ``kind`` against a whole loss stream and trace every round.
 
     A pure function of its arguments: identical inputs produce bitwise

@@ -329,8 +329,8 @@ def _check_bound_domain(seed: int) -> tuple[bool, str]:
                     bad.append(f"theorem3_mstar({alpha},{delta},4,{phi}) = {m}")
         for mstar in (1, 4):
             tau = bounds.lemma6_tau(mstar, 2, 0.2, 1.0, phi)
-            if not isinstance(tau, int):
-                bad.append(f"lemma6_tau({mstar},...) not an integer: {tau!r}")
+            if not isinstance(tau, int) or tau < 1:
+                bad.append(f"lemma6_tau({mstar},...) = {tau!r}, not a round >= 1")
     detail = "; ".join(bad) if bad else "all grid evaluations finite and in range"
     return not bad, detail
 

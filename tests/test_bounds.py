@@ -237,8 +237,10 @@ class TestLemma6Tau:
         assert lemma6_tau(4, 2, 0.2, 1.0, 2.0) == 16
 
     def test_monotone_in_mstar(self):
+        """Round 1 while the formula is below it, then strictly rising."""
         taus = [lemma6_tau(m, 2, 0.2, 1.0, 2.0) for m in range(1, 8)]
-        assert all(b > a for a, b in zip(taus, taus[1:]))
+        assert taus[:3] == [1, 1, 1]
+        assert all(b > a for a, b in zip(taus[2:], taus[3:]))
 
     def test_exponent_limit_at_large_beta(self):
         """As beta grows, the exponent (mstar-1)*(2 - 1/beta) approaches

@@ -2,6 +2,7 @@
 
 import csv
 import importlib
+import io
 import math
 import os
 import pkgutil
@@ -11,12 +12,27 @@ import xml.etree.ElementTree as ET
 from dataclasses import MISSING, fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import adahedge
 from adahedge.cli import ConfigError, main, parse_config
-from adahedge.reports import SUMMARY_HEADER, TRACE_HEADER, format_sig
-from adahedge.simulation import AlternatingPair, Correlated, IidBernoulli
+from adahedge.reports import (
+    SUMMARY_HEADER,
+    TRACE_HEADER,
+    format_sig,
+    write_summary_csv,
+    write_trace_csvs,
+)
+from adahedge.simulation import (
+    GENERATORS,
+    AggregateResult,
+    AlternatingPair,
+    Correlated,
+    ExperimentConfig,
+    FtlKiller,
+    IidBernoulli,
+)
 from adahedge.strategies import KINDS, AdaHedge, FixedHedge, FollowTheLeader
 from adahedge.verify import run_suite
 
@@ -106,6 +122,20 @@ class TestParseConfig:
         assert type(kind) is KINDS[name]
         assert kind.slug.startswith(name)
 
+    @pytest.mark.parametrize("name", sorted(GENERATORS))
+    def test_every_generator_parses_under_its_name(self, name):
+        valid = {"probs": "0.2, 0.8", "a": "0.2", "b": "0.6", "eps": "0.1"}
+        required = [
+            f"{f.name} = {valid[f.name]}\n"
+            for f in fields(GENERATORS[name])
+            if f.default is MISSING
+        ]
+        text = VALID.format(out="x").replace(
+            "generator = iid_bernoulli\nprobs = 0.2, 0.8\n",
+            f"generator = {name}\n{''.join(required)}",
+        )
+        assert type(parse_config(text).generator) is GENERATORS[name]
+
     def test_follow_the_leader_is_ftl(self):
         text = VALID.format(out="x").replace("ftl,", "follow_the_leader,")
         assert parse_config(text).strategies[0].slug == "ftl"
@@ -174,6 +204,87 @@ base_seed = 1
 output_dir = out
 """
         assert parse_config(text).generator == AlternatingPair(a=0.2, b=0.6, eps=0.1)
+
+
+class TestReportWriters:
+    """The CSV writers' bytes, pinned to csv.writer with format_sig per float."""
+
+    @staticmethod
+    def edge_result():
+        config = ExperimentConfig(
+            generator=FtlKiller(),
+            horizon_t=4,
+            repetitions=3,
+            strategies=(FollowTheLeader(), AdaHedge(phi=2.0)),
+            base_seed=2**64 - 1,
+        )
+        edges = [-0.0, 5e-324, 1.5e16, 0.1 + 0.2, math.nan, math.inf, -math.inf, 1 / 3]
+        slugs = config.slugs
+        col = {s: np.array(edges[4 * i : 4 * i + 4]) for i, s in enumerate(slugs)}
+        return AggregateResult(
+            config=config,
+            mean_regret=col,
+            mean_cum_loss={s: col[s][::-1].copy() for s in slugs},
+            mean_eta={
+                "ftl": np.full(4, math.inf),
+                "adahedge_phi2": np.array([1.0, 0.5, 2 / 3, 1e-300]),
+            },
+            segment_events={s: np.array([3, 10, 12, 123456], dtype=np.int64) for s in slugs},
+            final_regrets={s: col[s][-1:] for s in slugs},
+            segments_started={
+                "ftl": np.array([1, 1, 1], dtype=np.int64),
+                "adahedge_phi2": np.array([2, 10, 17], dtype=np.int64),
+            },
+        )
+
+    @staticmethod
+    def reference(result):
+        """File name -> text, written row by row through the csv module,
+        with the nine-digit float format spelled out here rather than taken
+        from the module under test."""
+
+        def format_sig(x):
+            return f"{float(x):.9g}"
+
+        files = {}
+        for slug in result.slugs:
+            buf = io.StringIO(newline="")
+            writer = csv.writer(buf)
+            writer.writerow(TRACE_HEADER)
+            mr, mc = result.mean_regret[slug], result.mean_cum_loss[slug]
+            me, ev = result.mean_eta[slug], result.segment_events[slug]
+            for t in range(len(mr)):
+                writer.writerow(
+                    [t + 1, format_sig(mr[t]), format_sig(mc[t]), format_sig(me[t]), int(ev[t])]
+                )
+            files[f"trace_{slug}.csv"] = buf.getvalue()
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(SUMMARY_HEADER)
+        cfg = result.config
+        for slug in result.slugs:
+            segs = result.segments_started[slug]
+            writer.writerow(
+                [
+                    slug,
+                    format_sig(result.mean_regret[slug][-1]),
+                    format_sig(segs.sum() / len(segs)),
+                    cfg.repetitions,
+                    cfg.horizon_t,
+                    cfg.base_seed,
+                ]
+            )
+        files["summary.csv"] = buf.getvalue()
+        return files
+
+    def test_edge_values_match_csv_module(self, tmp_path):
+        result = self.edge_result()
+        write_trace_csvs(result, tmp_path)
+        write_summary_csv(result, tmp_path)
+        want = self.reference(result)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(want)
+        for name, text in want.items():
+            assert (tmp_path / name).read_bytes() == text.encode()
 
 
 class TestRunCommand:
@@ -364,6 +475,14 @@ class TestBoundsCommand:
     def test_float_range_failure_is_an_error(self, argv, capsys):
         assert main(["bounds", *argv]) == 2
         assert f"bounds {argv[0]} is not representable" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha,beta", [("0.01", "1"), ("0.2", "1e300")])
+    def test_lemma6_tau_is_at_least_round_one(self, alpha, beta, capsys):
+        """The formula gives -569 and 0 here; a horizon is a round >= 1."""
+        argv = ["bounds", "lemma6-tau", "--mstar", "1", "--k", "2", "--alpha", alpha,
+                "--beta", beta, "--phi", "2"]
+        assert main(argv) == 0
+        assert self.out(capsys) == "1"
 
     def test_unknown_bound_name(self, capsys):
         assert main(["bounds", "lemma99"]) == 2

@@ -298,6 +298,63 @@ class TestLargeEta:
         assert mixability_gap([1.0, 0.0], [1.0, 0.0], eta).delta == 0.0
 
 
+class TestFallbackBits:
+    """Exact results on the max-shifted log-sum-exp path at eta = 40, as
+    hex floats; in mix_loss the weight on the round's best action is below
+    2**-10.  The last case of each test changes bits if the terms are
+    summed in another order."""
+
+    W = (1e-4, 0.6, 0.3999)
+    L = (0.0, 1.0, 0.5)
+
+    def test_mix_loss(self):
+        assert mix_loss(WeightSnapshot.from_weights(self.W), self.L, 40.0).hex() == (
+            "0x1.d791aa5043535p-3"
+        )
+        assert mix_loss(list(self.W), self.L, 40.0).hex() == "0x1.d791aa5043535p-3"
+        snap = WeightSnapshot.from_weights((0.0001, 0.11, 0.25, 0.7, 0.46))
+        assert mix_loss(snap, (0.0, 0.53, 0.56, 0.55, 0.53), 40.0).hex() == (
+            "0x1.ed02ad77e2605p-3"
+        )
+
+    def test_posterior_update(self):
+        snap = posterior_update(
+            WeightSnapshot.from_weights((0.2, 0.3, 0.5)), (0.7, 0.1, 0.35), 40.0
+        )
+        assert [v.hex() for v in snap.log_weights] == [
+            "-0x1.867d1852029bep+4",
+            "-0x1.3d5b4ad760000p-14",
+            "-0x1.2fa7efb324576p+3",
+        ]
+        snap = posterior_update((0.25, 0.25, 0.125, 0.375), (1.0, 0.3, 0.0, 0.9), 40.0)
+        assert [v.hex() for v in snap.log_weights] == [
+            "-0x1.3a7475b191e83p+5",
+            "-0x1.69d1d6c647a0ep+3",
+            "-0x1.9c541dacc0000p-17",
+            "-0x1.17361133f9f53p+5",
+        ]
+        snap = posterior_update(
+            WeightSnapshot.from_weights((0.36, 0.19, 0.67, 0.12, 0.56)),
+            (0.04, 0.01, 0.05, 0.0, 0.04),
+            40.0,
+        )
+        assert [v.hex() for v in snap.log_weights] == [
+            "-0x1.f99783d66002ep+0",
+            "-0x1.69ff0f27da6a6p+0",
+            "-0x1.c0f8ad38061e4p+0",
+            "-0x1.793c91e79699ep+0",
+            "-0x1.887b905108ef4p+0",
+        ]
+
+    def test_log_marginal_likelihood(self):
+        cum = CumulativeLoss((3.25, 1.5, 2.0, 7.0), 9)
+        assert log_marginal_likelihood(cum, 40.0).hex() == "-0x1.eb17217f364adp+5"
+        cum = CumulativeLoss((0.1, 0.2, 0.3), 1)
+        assert log_marginal_likelihood(cum, 40.0).hex() == "-0x1.4520e61aa10b1p+2"
+        cum = CumulativeLoss((2.057, 2.09, 2.048, 2.033, 2.026, 2.036), 3)
+        assert log_marginal_likelihood(cum, 40.0).hex() == "-0x1.46aa3be24d39dp+6"
+
+
 @st.composite
 def sampled_round(draw, eta_max):
     """A random (weights, losses, eta) triple with 2..8 actions."""

@@ -11,7 +11,6 @@ from .core import (
     LOSS_RANGE_TOL,
     PER_OP_TOL,
     CumulativeLoss,
-    LossVector,
     RoundReport,
     WeightSnapshot,
     hedge_weights,

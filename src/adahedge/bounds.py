@@ -144,10 +144,11 @@ def lemma5_bound(k: int, alpha: float, beta: float, eta: float) -> float:
 def intro_mstar(alpha: float, phi: float) -> int:
     """Cap on segments started in the two-action linearly-diverging case.
 
-    Equals 1 + ceil(log_phi((e-2)/(alpha*ln 2) + 1/(8*ln 2))).
+    Equals 1 + ceil(log_phi((e-2)/(alpha*ln 2) + 1/(8*ln 2))), at least 2.
+    With losses in [0, 1] the per-round divergence alpha is at most 1.
     """
     alpha = float(alpha)
-    _check("alpha", math.isfinite(alpha) and alpha > 0.0, "must be > 0")
+    _check("alpha", 0.0 < alpha <= 1.0, "must be in (0, 1]")
     phi = _check_phi(phi)
     ln2 = math.log(2.0)
     inner = _E2 / (alpha * ln2) + 1.0 / (8.0 * ln2)

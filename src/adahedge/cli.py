@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 verification failure, 2 bad arguments or config,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
@@ -75,11 +76,14 @@ def _parse_strategy(entry: str, path, line_no: int):
                 raise ConfigError(
                     path, line_no, f"expected key=value inside {entry!r}, got {item!r}"
                 )
+            key = key.strip().lower()
+            if key in params:
+                raise ConfigError(path, line_no, f"repeated parameter {key!r} in {entry!r}")
             try:
-                params[key.strip().lower()] = float(value.strip())
+                params[key] = float(value.strip())
             except ValueError:
                 raise ConfigError(
-                    path, line_no, f"{key.strip()!r} in {entry!r} is not a number"
+                    path, line_no, f"{key!r} in {entry!r} is not a number"
                 )
 
     extra = set(params) - {f.name for f in fields(cls)}
@@ -203,6 +207,8 @@ def parse_config(text: str, path="<config>") -> ExperimentConfig:
         raise ConfigError(path, line_no, f"duplicate strategies: {slugs}")
 
     raw, line_no = need("output_dir")
+    if "\0" in raw:
+        raise ConfigError(path, line_no, "output_dir contains a NUL byte")
     return ExperimentConfig(
         generator=generator,
         horizon_t=horizon_t,
@@ -302,6 +308,8 @@ def _evaluate_bound(args):
 def cmd_bounds(args) -> int:
     try:
         value = _evaluate_bound(args)
+        if not math.isfinite(value):  # an overflow the closed form did not raise
+            raise OverflowError
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -22,7 +22,6 @@ __all__ = [
     "PER_OP_TOL",
     "ACCUMULATED_TOL",
     "LOSS_RANGE_TOL",
-    "LossVector",
     "CumulativeLoss",
     "WeightSnapshot",
     "RoundReport",
@@ -51,10 +50,7 @@ def _check_eta(eta: float) -> float:
 
 def _coerce_losses(values, k: int | None = None) -> list[float]:
     """Validate one round of losses and return them as a plain float list."""
-    if isinstance(values, LossVector):
-        out = list(values.losses)
-    else:
-        out = [float(v) for v in values]
+    out = [float(v) for v in values]
     if len(out) < 2:
         raise ValueError(f"need at least 2 actions, got {len(out)}")
     if k is not None and len(out) != k:
@@ -82,20 +78,6 @@ def _coerce_weights(values) -> list[float]:
 
 
 @dataclass(frozen=True)
-class LossVector:
-    """One round of losses, one entry per action, each in [0, 1]."""
-
-    losses: tuple[float, ...]
-
-    def __init__(self, losses: Iterable[float]):
-        object.__setattr__(self, "losses", tuple(_coerce_losses(losses)))
-
-    @property
-    def k(self) -> int:
-        return len(self.losses)
-
-
-@dataclass(frozen=True)
 class CumulativeLoss:
     """Per-action loss totals after ``rounds`` rounds."""
 
@@ -118,24 +100,9 @@ class CumulativeLoss:
         object.__setattr__(self, "totals", totals)
         object.__setattr__(self, "rounds", rounds)
 
-    @classmethod
-    def zero(cls, k: int) -> "CumulativeLoss":
-        return cls((0.0,) * k, 0)
-
     @property
     def k(self) -> int:
         return len(self.totals)
-
-    @property
-    def best(self) -> float:
-        """Smallest total so far (the best action's cumulative loss)."""
-        return min(self.totals)
-
-    def updated(self, loss) -> "CumulativeLoss":
-        vals = _coerce_losses(loss, self.k)
-        return CumulativeLoss(
-            tuple(t + v for t, v in zip(self.totals, vals)), self.rounds + 1
-        )
 
 
 @dataclass(frozen=True)
@@ -161,12 +128,6 @@ class WeightSnapshot:
         object.__setattr__(self, "log_weights", lw)
 
     @classmethod
-    def uniform(cls, k: int) -> "WeightSnapshot":
-        if k < 2:
-            raise ValueError(f"need at least 2 actions, got {k}")
-        return cls((-math.log(k),) * k)
-
-    @classmethod
     def from_weights(cls, weights: Iterable[float]) -> "WeightSnapshot":
         ws = [float(v) for v in weights]
         if len(ws) < 2:
@@ -177,10 +138,6 @@ class WeightSnapshot:
         return cls(
             tuple(math.log(v / total) if v > 0.0 else _NEG_INF for v in ws)
         )
-
-    @property
-    def k(self) -> int:
-        return len(self.log_weights)
 
     @property
     def weights(self) -> tuple[float, ...]:
@@ -327,13 +284,14 @@ def posterior_update(weights, loss, eta: float) -> WeightSnapshot:
 
     Performed in the log domain with a max shift; applying this
     sequentially from uniform weights matches ``hedge_weights`` on the
-    summed losses up to floating-point rounding.
+    summed losses up to floating-point rounding.  Plain ``weights`` must
+    be a probability vector, as for ``mix_loss``.
     """
     eta = _check_eta(eta)
     if isinstance(weights, WeightSnapshot):
         lw = list(weights.log_weights)
     else:
-        lw = WeightSnapshot.from_weights(weights).log_weights
+        lw = WeightSnapshot.from_weights(_coerce_weights(weights)).log_weights
     l = _coerce_losses(loss, len(lw))
     shifted = [a - eta * b for a, b in zip(lw, l)]
     log_norm = _logsumexp(shifted)

@@ -271,7 +271,6 @@ class AggregateResult:
     mean_cum_loss: dict[str, np.ndarray]
     mean_eta: dict[str, np.ndarray]
     segment_events: dict[str, np.ndarray]
-    final_regrets: dict[str, np.ndarray]
     segments_started: dict[str, np.ndarray]
 
     @property
@@ -344,7 +343,6 @@ def run_experiment(
     sum_cum_loss = {s: np.zeros(t_total) for s in slugs}
     sum_eta = {s: np.zeros(t_total) for s in slugs}
     seg_events = {s: np.zeros(t_total, dtype=np.int64) for s in slugs}
-    finals = {s: [] for s in slugs}
     seg_counts = {s: [] for s in slugs}
 
     worker = partial(_simulate_repetition, config)
@@ -363,7 +361,6 @@ def run_experiment(
                 sum_cum_loss[slug] += cum_loss
                 sum_eta[slug] += eta
                 seg_events[slug][np.asarray(starts, dtype=np.int64) - 1] += 1
-                finals[slug].append(float(regret[-1]))
                 seg_counts[slug].append(len(starts))
     finally:
         if pool is not None:
@@ -375,7 +372,6 @@ def run_experiment(
         mean_cum_loss={s: sum_cum_loss[s] / reps for s in slugs},
         mean_eta={s: sum_eta[s] / reps for s in slugs},
         segment_events=seg_events,
-        final_regrets={s: np.asarray(finals[s]) for s in slugs},
         segments_started={s: np.asarray(seg_counts[s], dtype=np.int64) for s in slugs},
     )
 

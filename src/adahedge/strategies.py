@@ -324,13 +324,10 @@ def init(kind: _Kind, k: int) -> Strategy:
 
 def as_loss_array(losses) -> np.ndarray:
     """Coerce a loss stream to a (T, K) float array and validate it."""
-    if isinstance(losses, np.ndarray):
-        arr = np.asarray(losses, dtype=np.float64)
-    else:
-        rows = [
-            list(row.losses) if hasattr(row, "losses") else row for row in losses
-        ]
-        arr = np.asarray(rows, dtype=np.float64)
+    # an ndarray is kept as it is (no copy); any other iterable is read as rows
+    arr = np.asarray(
+        losses if isinstance(losses, np.ndarray) else list(losses), dtype=np.float64
+    )
     if arr.ndim != 2:
         raise ValueError(f"loss stream must be 2-d (rounds x actions), got shape {arr.shape}")
     t_total, k = arr.shape

@@ -26,7 +26,6 @@ from .core import (
     ACCUMULATED_TOL,
     PER_OP_TOL,
     CumulativeLoss,
-    LossVector,
     WeightSnapshot,
     log_marginal_likelihood,
     mix_loss,
@@ -113,7 +112,7 @@ def _check_gap_range(seed: int, count: int) -> tuple[bool, str]:
     low = math.inf
     excess = -math.inf
     for w, l, eta in _sample_rounds(seed, count, 4.0):
-        rep = mixability_gap(WeightSnapshot.from_weights(w), LossVector(l), eta)
+        rep = mixability_gap(WeightSnapshot.from_weights(w), l, eta)
         low = min(low, rep.delta)
         excess = max(excess, rep.delta - eta / 8.0)
     ok = low >= -PER_OP_TOL and excess <= PER_OP_TOL
@@ -133,7 +132,7 @@ def _check_gap_posterior(seed: int, count: int) -> tuple[bool, str]:
     where = -1
     for i, (w, l, eta) in enumerate(samples):
         snap = WeightSnapshot.from_weights(w)
-        rep = mixability_gap(snap, LossVector(l), eta)
+        rep = mixability_gap(snap, l, eta)
         over = rep.delta - bounds.lemma4_bound(eta, max(snap.weights))
         if over > excess:
             excess, where = over, i

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from adahedge import bounds
-from adahedge.core import LossVector, WeightSnapshot, posterior_update
+from adahedge.core import WeightSnapshot, posterior_update
 from adahedge.bounds import (
     GOLDEN_RATIO,
     budget,
@@ -197,9 +197,9 @@ class TestLemma5:
         off-leader mass sum_t (1 - w*_{t+1}) stays below C * eta^(-1/beta)
         for eta in {1, 1/2, 1/4}."""
         k, alpha, t_end = 3, 0.5, 4000
-        loss = LossVector([0.0] + [alpha] * (k - 1))
+        loss = [0.0] + [alpha] * (k - 1)
         for eta in (1.0, 0.5, 0.25):
-            snap = WeightSnapshot.uniform(k)
+            snap = WeightSnapshot((-math.log(k),) * k)
             tail = 0.0
             for _ in range(t_end):
                 snap = posterior_update(snap, loss, eta)

@@ -154,6 +154,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="does not take"):
             parse_config(text, "cfg")
 
+    def test_repeated_strategy_parameter_rejected(self):
+        text = VALID.format(out="x").replace("adahedge(phi=2)", "adahedge(phi=2, phi=3)")
+        with pytest.raises(ConfigError, match=r"cfg:6: repeated parameter 'phi'"):
+            parse_config(text, "cfg")
+
     def test_duplicate_strategies_rejected(self):
         text = VALID.format(out="x").replace("ftl,", "adahedge(phi=2),")
         with pytest.raises(ConfigError, match="duplicate strategies"):
@@ -230,7 +235,6 @@ class TestReportWriters:
                 "adahedge_phi2": np.array([1.0, 0.5, 2 / 3, 1e-300]),
             },
             segment_events={s: np.array([3, 10, 12, 123456], dtype=np.int64) for s in slugs},
-            final_regrets={s: col[s][-1:] for s in slugs},
             segments_started={
                 "ftl": np.array([1, 1, 1], dtype=np.int64),
                 "adahedge_phi2": np.array([2, 10, 17], dtype=np.int64),
@@ -333,6 +337,13 @@ class TestRunCommand:
         rc = main(["run", str(path)])
         assert rc == 2
         assert f"{path}:4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dry_run", [True, False])
+    def test_nul_byte_in_output_dir_is_a_config_error(self, tmp_path, capsys, dry_run):
+        """Refused at its line before anything is simulated."""
+        path = self.write(tmp_path, VALID.format(out=tmp_path / "a\0b"))
+        assert main(["run", str(path), *(["--dry-run"] if dry_run else [])]) == 2
+        assert f"{path}:8: output_dir contains a NUL byte" in capsys.readouterr().err
 
     def test_dry_run_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "never"
@@ -470,6 +481,11 @@ class TestBoundsCommand:
             ["lemma6-tau", "--mstar", "5000", "--k", "2", "--alpha", "0.2", "--beta", "1",
              "--phi", "2"],
             ["theorem3-mstar", "--alpha", "1e-200", "--delta", "0.5", "--k", "2", "--phi", "2"],
+            # these overflow to inf without raising
+            ["theorem1", "--lstar", "1e308", "--k", "4"],
+            ["factor", "--phi", "1e200"],
+            ["budget", "--eta", "1e-320", "--k", "4"],
+            ["eta-floor", "--lstar", "1e-320", "--k", "4"],
         ],
     )
     def test_float_range_failure_is_an_error(self, argv, capsys):
@@ -483,6 +499,17 @@ class TestBoundsCommand:
                 "--beta", beta, "--phi", "2"]
         assert main(argv) == 0
         assert self.out(capsys) == "1"
+
+    @pytest.mark.parametrize("alpha", ["10", "1e300"])
+    def test_intro_mstar_rejects_alpha_above_one(self, alpha, capsys):
+        """Per-round divergence of [0, 1] losses is at most 1; the formula
+        gives 0 and -1 here."""
+        assert main(["bounds", "intro-mstar", "--alpha", alpha, "--phi", "2"]) == 2
+        assert "alpha must be in (0, 1]" in capsys.readouterr().err
+
+    def test_intro_mstar_at_alpha_one(self, capsys):
+        assert main(["bounds", "intro-mstar", "--alpha", "1", "--phi", "2"]) == 0
+        assert int(self.out(capsys)) >= 2
 
     def test_unknown_bound_name(self, capsys):
         assert main(["bounds", "lemma99"]) == 2

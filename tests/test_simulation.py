@@ -207,7 +207,7 @@ class TestRunExperiment:
                 serial.mean_regret[slug], pooled.mean_regret[slug]
             )
             np.testing.assert_array_equal(
-                serial.final_regrets[slug], pooled.final_regrets[slug]
+                serial.segments_started[slug], pooled.segments_started[slug]
             )
             np.testing.assert_array_equal(
                 serial.segment_events[slug], pooled.segment_events[slug]
@@ -220,7 +220,7 @@ class TestRunExperiment:
         assert result.repetitions == 3
         for slug in cfg.slugs:
             assert len(result.mean_regret[slug]) == 300
-            assert len(result.final_regrets[slug]) == 3
+            assert len(result.segments_started[slug]) == 3
             # every repetition opens its first segment in round 1
             assert result.segment_events[slug][0] == 3
         assert np.all(np.isinf(result.mean_eta["ftl"]))

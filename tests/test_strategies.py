@@ -381,12 +381,11 @@ class TestAsLossArray:
         with pytest.raises(ValueError, match="finite"):
             as_loss_array([[0.0, math.nan]])
 
-    def test_accepts_loss_vector_rows(self):
-        from adahedge.core import LossVector
-
-        arr = as_loss_array([LossVector((0.0, 1.0)), LossVector((0.5, 0.5))])
-        assert arr.shape == (2, 2)
-        np.testing.assert_allclose(arr, [[0.0, 1.0], [0.5, 0.5]], rtol=0)
+    def test_keeps_float_array_and_reads_any_iterable_of_rows(self):
+        arr = np.array([[0.0, 1.0], [0.5, 0.5]])
+        assert as_loss_array(arr) is arr
+        rows = as_loss_array(tuple(row) for row in arr.tolist())
+        np.testing.assert_array_equal(rows, arr)
 
 
 class TestRegretTraceShape:
@@ -564,7 +563,7 @@ def stepwise_trace(kind, arr):
             played = hedge_and_mix_loss(weights, row, eta)[0]
         state.observe(row)
         cum_played += played
-        best = state.cum.best
+        best = min(state.cum.totals)
         rounds.append(
             (eta, segment, played, state.delta_sum, best, cum_played, cum_played - best)
         )

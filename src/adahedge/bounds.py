@@ -8,6 +8,7 @@ checked and reported by name; nothing is clamped silently.
 from __future__ import annotations
 
 import math
+from numbers import Integral
 
 __all__ = [
     "GOLDEN_RATIO",
@@ -37,9 +38,18 @@ def _check(name: str, ok: bool, requirement: str):
         raise ValueError(f"{name} {requirement}")
 
 
+def _check_int(name: str, x, low: int) -> int:
+    """``x`` as an int, refused unless it is an integer >= ``low``.  An
+    integer type is taken exactly, never rounded through a float."""
+    if not isinstance(x, Integral):
+        x = float(x)
+        _check(name, x.is_integer(), f"must be an integer >= {low}")
+    _check(name, int(x) >= low, f"must be an integer >= {low}")
+    return int(x)
+
+
 def _check_k(k: int) -> int:
-    _check("k", float(k) == int(k) and int(k) >= 2, "must be an integer >= 2")
-    return int(k)
+    return _check_int("k", k, 2)
 
 
 def _check_phi(phi: float) -> float:
@@ -92,8 +102,7 @@ def lemma3_bound(m: int, k: int, phi: float) -> float:
 
     Equals 2*ln(k)*(phi**m - 1)/(phi - 1) + m*(ln(k)/(e-1) + 1/8).
     """
-    _check("m", float(m) == int(m) and m >= 1, "must be an integer >= 1")
-    m = int(m)
+    m = _check_int("m", m, 1)
     k = _check_k(k)
     phi = _check_phi(phi)
     lnk = math.log(k)
@@ -185,8 +194,7 @@ def lemma6_tau(mstar: int, k: int, alpha: float, beta: float, phi: float) -> int
     from round 1 on.  Requires beta > 1/2 so that the exponent 2 - 1/beta
     is positive.
     """
-    _check("mstar", float(mstar) == int(mstar) and mstar >= 1, "must be an integer >= 1")
-    mstar = int(mstar)
+    mstar = _check_int("mstar", mstar, 1)
     beta = float(beta)
     _check("beta", math.isfinite(beta) and beta > 0.5, "must be > 1/2")
     ck = lemma5_ck(k, alpha, beta)

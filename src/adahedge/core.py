@@ -1,10 +1,18 @@
-"""Scalar primitives for exponential-weights (Hedge) prediction.
+"""Primitives for exponential-weights (Hedge) prediction.
 
-Everything works in the log domain on plain Python floats.  The number of
-actions K is small (>= 2, typically <= 16) while horizons reach 1e4-1e5
-rounds, so scalar ``math.exp`` loops beat vectorised calls by a wide margin
-and keep one shared code path between the sequential update used by the
-strategies and the batch form computed from cumulative losses.
+Everything works in the log domain.  Each per-round kernel has a scalar
+form on plain Python floats, which the typed operations and the stepwise
+strategy states use, and a block form over ``(K, rows)`` arrays, one column
+per round, which ``strategies.run`` uses.  The two agree bit for bit, under
+one contract:
+
+- ``+ - * /``, ``min``, compares and masks run in numpy, which rounds them
+  as Python does;
+- every ``exp``/``log``/``expm1``/``log1p`` is the ``math`` function mapped
+  over the block's elements, because numpy's vectorised transcendentals
+  may differ from the C library's in the last bit;
+- every sum over actions adds in sequence from 0.0, as the scalar loops do,
+  never with ``np.sum``, whose pairwise order rounds differently.
 
 Tolerances used across the package and its test suite are fixed here:
 ``PER_OP_TOL`` for single operation chains, ``ACCUMULATED_TOL`` for
@@ -17,6 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 __all__ = [
     "PER_OP_TOL",
@@ -32,6 +42,8 @@ __all__ = [
     "log_marginal_likelihood",
     "log_weights_from_totals",
     "hedge_and_mix_loss",
+    "block_log_weights",
+    "block_hedge_and_mix_loss",
 ]
 
 PER_OP_TOL = 1e-12
@@ -238,6 +250,46 @@ def hedge_and_mix_loss(
         log_weights = [math.log(w / wsum) if w > 0.0 else _NEG_INF for w in weights]
     shifted = [a - eta * (l - m) for a, l in zip(log_weights, losses)]
     return hedge / wsum, m - _logsumexp(shifted) / eta
+
+
+def _map(fn, x: np.ndarray) -> np.ndarray:
+    """The scalar ``math`` function ``fn`` applied to every element of ``x``."""
+    return np.fromiter(map(fn, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
+
+
+def _action_sums(x: np.ndarray) -> np.ndarray:
+    """Sums over axis 0 (the actions), each added in sequence from 0.0."""
+    acc = np.zeros(x.shape[1:])
+    for row in x:
+        acc += row
+    return acc
+
+
+def block_log_weights(totals: np.ndarray, eta) -> np.ndarray:
+    """``log_weights_from_totals`` for every column of ``totals`` (K, rows);
+    ``eta`` is one rate or one per column."""
+    scaled = -eta * (totals - totals.min(axis=0))
+    return scaled - _map(math.log, _action_sums(_map(math.exp, scaled)))
+
+
+def block_hedge_and_mix_loss(
+    weights: np.ndarray, losses: np.ndarray, eta, log_weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``hedge_and_mix_loss`` for every column of ``weights``, ``losses``
+    and ``log_weights`` (K, rows); ``eta`` is one rate or one per column.
+    Columns that need the logsumexp fallback take the scalar one."""
+    m = losses.min(axis=0)
+    shifted = -eta * (losses - m)
+    hedge = _action_sums(weights * losses)
+    wsum = _action_sums(weights)
+    ratio = _action_sums(weights * _map(math.expm1, shifted)) / wsum
+    eta = np.broadcast_to(eta, m.shape)
+    fine = ratio > -1.0 + 2.0**-10
+    mix = np.empty_like(m)
+    mix[fine] = m[fine] - _map(math.log1p, ratio[fine]) / eta[fine]
+    for j in np.flatnonzero(~fine):  # log_weights + shifted is a - eta * (l - m)
+        mix[j] = m[j] - _logsumexp((log_weights[:, j] + shifted[:, j]).tolist()) / eta[j]
+    return hedge / wsum, mix
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 Every strategy is a small state machine: ``act()`` returns the probability
 vector to play in the coming round, ``observe(loss)`` feeds the realised
-losses back.  ``run()`` drives one strategy down a whole loss stream and
-records the per-round trace (losses, regret, learning rate, segment index)
-that the simulation harness aggregates.
+losses back.  That stepwise API is the reference; ``run()`` plays a whole
+loss stream and records the per-round trace (losses, regret, learning
+rate, segment index) that the simulation harness aggregates.
 
 FollowTheLeader has its own state.  The Hedge kinds (fixed, doubling,
 AdaHedge, variable; OracleHedge is fixed Hedge at a hindsight rate) share
@@ -13,6 +13,13 @@ for each round and when to restart.  A restart divides eta by phi and
 empties the segment's totals and gap sum.  It is applied at the start of a
 round, before weights are produced, so a depletion in the final observed
 round never opens a segment that plays no rounds.
+
+Between restarts every state is a function of the loss prefix alone, so
+``run()`` computes whole blocks of rounds at once with the block kernels
+of ``core``, bit for bit equal to stepping the state: per-action totals
+continue across blocks as ``np.cumsum`` over ``[carry; block]``, a block
+of a restarting kind is cut at the first round whose restart test holds,
+and the restart itself is the state's own schedule step.
 """
 
 from __future__ import annotations
@@ -27,7 +34,11 @@ from .core import (
     LOSS_RANGE_TOL,
     CumulativeLoss,
     WeightSnapshot,
+    _action_sums,
     _coerce_losses,
+    _map,
+    block_hedge_and_mix_loss,
+    block_log_weights,
     hedge_and_mix_loss,
     log_weights_from_totals,
 )
@@ -177,6 +188,9 @@ class Strategy:
         row = _coerce_losses(loss, self.k)
         self._pre_act()
         self._observe(row)
+        for i, v in enumerate(row):
+            self._totals[i] += v
+        self._rounds += 1
         return self
 
     @property
@@ -188,7 +202,7 @@ class Strategy:
         self._pre_act()
         return tuple(self._w)
 
-    # -- internal fast path (plain float lists, no validation) --------------
+    # -- internal (plain float lists, no validation) -------------------------
 
     def _pre_act(self):
         pass
@@ -196,9 +210,8 @@ class Strategy:
     def _log_weights_list(self) -> list[float]:
         raise NotImplementedError
 
-    def _observe(self, row: list[float]) -> float:
-        """Consume one round; return the expected loss of the weights played."""
-        raise NotImplementedError
+    def _observe(self, row: list[float]):
+        """A kind's own bookkeeping for one round, before the totals add it."""
 
 
 class _FtlState(Strategy):
@@ -217,17 +230,6 @@ class _FtlState(Strategy):
 
     def _log_weights_list(self):
         return [math.log(v) if v > 0.0 else _NEG_INF for v in self._w]
-
-    def _observe(self, row):
-        w = self._w
-        hedge = 0.0
-        for a, b in zip(w, row):
-            hedge += a * b
-        tot = self._totals
-        for i, v in enumerate(row):
-            tot[i] += v
-        self._rounds += 1
-        return hedge
 
 
 class _HedgeState(Strategy):
@@ -266,22 +268,37 @@ class _HedgeState(Strategy):
             return self._two_lnk / (eta * eta) if eta * eta > 0.0 else math.inf
         return math.inf
 
+    def _depleted(self, seg_best, gap_sum):
+        """The restart test before a round, from the segment's best total
+        and gap sum so far; elementwise over arrays of them."""
+        return (seg_best if self._budget_on_lstar else gap_sum) >= self.budget
+
+    def _restart(self, start: int):
+        """Open the next segment, whose first round is ``start``."""
+        self.segment += 1
+        self.eta = self.kind.phi ** (1 - self.segment)
+        self.budget = self._budget_at(self.eta)
+        self.delta_sum = 0.0
+        self._seg_totals = [0.0] * self.k
+        self.segment_starts.append(start)
+
+    def _variable_rate(self, lstar):
+        """VariableHedge's rate min(1, sqrt(2 ln K / L*)), 1 while L* <= 0;
+        elementwise over an array of L*."""
+        with np.errstate(over="ignore"):  # a tiny L* gives rate 1, as in floats
+            return np.minimum(
+                1.0, np.sqrt(self._two_lnk / np.where(lstar > 0.0, lstar, self._two_lnk))
+            )
+
     def _pre_act(self):
         if self._fresh == self._rounds:
             return
         self._fresh = self._rounds
-        seg = self._seg_totals
-        if (min(seg) if self._budget_on_lstar else self.delta_sum) >= self.budget:
-            self.segment += 1
-            self.eta = self.kind.phi ** (1 - self.segment)
-            self.budget = self._budget_at(self.eta)
-            self.delta_sum = 0.0
-            self._seg_totals = seg = [0.0] * self.k
-            self.segment_starts.append(self._rounds + 1)
+        if self._depleted(min(self._seg_totals), self.delta_sum):
+            self._restart(self._rounds + 1)
         elif self._rate_from_lstar:
-            lstar = min(self._totals)
-            self.eta = 1.0 if lstar <= 0.0 else min(1.0, math.sqrt(self._two_lnk / lstar))
-        lw = log_weights_from_totals(seg, self.eta)
+            self.eta = float(self._variable_rate(min(self._totals)))
+        lw = log_weights_from_totals(self._seg_totals, self.eta)
         self._lw = lw
         self._w = [math.exp(v) for v in lw]
 
@@ -291,17 +308,10 @@ class _HedgeState(Strategy):
     def _observe(self, row):
         hedge, mix = hedge_and_mix_loss(self._w, row, self.eta, self._lw)
         self.delta_sum += hedge - mix
-        tot = self._totals
         seg = self._seg_totals
-        if seg is tot:
+        if seg is not self._totals:
             for i, v in enumerate(row):
-                tot[i] += v
-        else:
-            for i, v in enumerate(row):
-                tot[i] += v
                 seg[i] += v
-        self._rounds += 1
-        return hedge
 
 
 def init(kind: _Kind, k: int) -> Strategy:
@@ -377,37 +387,99 @@ class RegretTrace:
         return len(self.segment_starts)
 
 
+#: Most losses one block of rounds holds, so that the working memory of
+#: ``run()`` does not grow with the stream.
+_BLOCK_LOSSES = 1 << 15
+#: Rounds in the first block, and in the first block after a restart;
+#: blocks then double.  Rounds computed past a restart are thrown away, so
+#: small blocks early in a segment bound that waste.
+_FIRST_ROWS = 256
+
+
 def run(kind: _Kind, losses) -> RegretTrace:
     """Play ``kind`` against a whole loss stream and trace every round.
 
     A pure function of its arguments: identical inputs produce bitwise
-    identical traces.  For OracleHedge the stream's final best cumulative
-    loss is computed first and a fixed-rate Hedge at oracle_eta is run.
+    identical traces, equal to driving ``init``/``observe`` round by round.
+    For OracleHedge the stream's final best cumulative loss is computed
+    first and a fixed-rate Hedge at oracle_eta is run.
     """
     arr = as_loss_array(losses)
-    k = arr.shape[1]
+    t_total, k = arr.shape
     if isinstance(kind, OracleHedge):
         lstar = float(arr.sum(axis=0).min())
-        strat = init(FixedHedge(oracle_eta(lstar, k)), k)
+        state = init(FixedHedge(oracle_eta(lstar, k)), k)
     else:
-        strat = init(kind, k)
+        state = init(kind, k)
+    ftl = isinstance(state, _FtlState)
+    restarts = isinstance(kind, _Restarting)
+    variable = isinstance(kind, VariableHedge)
 
-    segment: list[int] = []
-    eta: list[float] = []
-    agent: list[float] = []
-    gap: list[float] = []
-    for row in arr.tolist():
-        strat._pre_act()
-        segment.append(strat.segment)
-        eta.append(strat.eta)
-        agent.append(strat._observe(row))
-        gap.append(strat.delta_sum)
+    agent_loss = np.empty(t_total)
+    best_cum_loss = np.empty(t_total)
+    eta = np.empty(t_total)
+    segment = np.empty(t_total, dtype=np.int64)
+    cum_gap = np.zeros(t_total)
+    # carries into the next block: per-action totals over the stream and
+    # over the segment, and the segment's gap sum
+    totals = seg = np.zeros(k)
+    gap_sum = 0.0
+    cap = max(1, _BLOCK_LOSSES // k)
+    rows = _FIRST_ROWS
+    t = 0
+    while t < t_total:
+        if restarts and t and state._depleted(seg.min(), gap_sum):
+            state._restart(t + 1)
+            seg, gap_sum, rows = np.zeros(k), 0.0, _FIRST_ROWS
+        n = min(rows, cap, t_total - t)
+        rows = 2 * n
+        # column 0 holds a carry, columns 1..n the block's losses; a cumsum
+        # along the rounds gives the totals before (0..n-1) and after (1..n)
+        # each round, added in the order the states add them, from a 0.0
+        # that no -0.0 loss can turn into -0.0
+        ext = np.empty((k, n + 1))
+        ext[:, 1:] = arr[t : t + n].T
+        block = ext[:, 1:]
+        ext[:, 0] = totals
+        tot = np.cumsum(ext, axis=1)
+        best = tot.min(axis=0)
+        if restarts:
+            ext[:, 0] = seg
+            seg_tot = np.cumsum(ext, axis=1)
+        else:
+            seg_tot = tot
+        keep = n
+        if ftl:
+            lead = tot[:, :n] == best[:n]
+            weights = np.where(lead, 1.0 / lead.sum(axis=0), 0.0)
+            played = _action_sums(weights * block)
+            rate = state.eta
+        else:
+            rate = state._variable_rate(best[:n]) if variable else state.eta
+            with np.errstate(over="ignore"):  # a huge eta * total is -inf, as in floats
+                log_w = block_log_weights(seg_tot[:, :n], rate)
+                weights = _map(math.exp, log_w)
+                if t == 0:  # the first round plays what the fresh state plays
+                    weights[:, 0] = state.weights
+                played, mix = block_hedge_and_mix_loss(weights, block, rate, log_w)
+            sums = np.cumsum(np.concatenate(([gap_sum], played - mix)))
+            if restarts:
+                hit = np.flatnonzero(
+                    state._depleted(seg_tot.min(axis=0)[1:n], sums[1:n])
+                )
+                if hit.size:
+                    keep = int(hit[0]) + 1
+            cum_gap[t : t + keep] = sums[1 : keep + 1]
+            gap_sum = sums[keep]
+        out = slice(t, t + keep)
+        agent_loss[out] = played[:keep]
+        best_cum_loss[out] = best[1 : keep + 1]
+        eta[out] = np.broadcast_to(rate, (n,))[:keep]
+        segment[out] = state.segment
+        totals, seg = tot[:, keep], seg_tot[:, keep]
+        t += keep
 
-    # cumsum adds in sequence, as the states' running totals do; + 0.0 maps
-    # the -0.0 a column of -0.0 losses sums to onto the totals' 0.0
-    agent_loss = np.asarray(agent)
     cum_agent_loss = np.cumsum(agent_loss)
-    best_cum_loss = np.cumsum(arr, axis=0).min(axis=1) + 0.0
     return RegretTrace(
         kind=kind,
         k=k,
@@ -415,8 +487,8 @@ def run(kind: _Kind, losses) -> RegretTrace:
         cum_agent_loss=cum_agent_loss,
         best_cum_loss=best_cum_loss,
         regret=cum_agent_loss - best_cum_loss,
-        segment=np.asarray(segment, dtype=np.int64),
-        eta=np.asarray(eta),
-        cum_gap=np.asarray(gap),
-        segment_starts=list(strat.segment_starts),
+        segment=segment,
+        eta=eta,
+        cum_gap=cum_gap,
+        segment_starts=list(state.segment_starts),
     )

@@ -48,6 +48,16 @@ class TestBudget:
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError, match="k"):
             budget(1.0, 1)
+        for k in (2.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="k must be an integer"):
+                budget(1.0, k)
+
+    def test_integer_k_is_exact(self):
+        """An int past 2**53 is an integer even though no float equals it;
+        a float that holds an integer is still accepted."""
+        k = 2**53 + 1
+        assert budget(1.0, k) == (1.0 + 1.0 / E1) * math.log(k)
+        assert budget(1.0, 4.0) == budget(1.0, 4)
 
 
 class TestLemma2Bound:
@@ -130,6 +140,10 @@ class TestLemma3Bound:
     def test_rejects_zero_m(self):
         with pytest.raises(ValueError, match="m"):
             lemma3_bound(0, 2, 2.0)
+
+    def test_rejects_non_integral_m(self):
+        with pytest.raises(ValueError, match="m must be an integer"):
+            lemma3_bound(1.5, 2, 2.0)
 
     def test_rejects_phi_at_one(self):
         with pytest.raises(ValueError, match="phi"):
@@ -235,6 +249,10 @@ class TestSegmentCaps:
 class TestLemma6Tau:
     def test_frozen_value(self):
         assert lemma6_tau(4, 2, 0.2, 1.0, 2.0) == 16
+
+    def test_rejects_non_integral_mstar(self):
+        with pytest.raises(ValueError, match="mstar must be an integer"):
+            lemma6_tau(2.5, 2, 0.2, 1.0, 2.0)
 
     def test_monotone_in_mstar(self):
         """Round 1 while the formula is below it, then strictly rising."""

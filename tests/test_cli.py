@@ -465,6 +465,12 @@ class TestBoundsCommand:
         ) == 0
         assert self.out(capsys) == "10"
 
+    def test_integer_past_float_precision(self, capsys):
+        """k = 10**26 + 1 has no float; it is still an integer >= 2."""
+        assert main(["bounds", "budget", "--eta", "1", "--k", "100000000000000000000000001"]) == 0
+        want = (1.0 + 1.0 / (math.e - 1.0)) * math.log(10**26 + 1)
+        assert math.isclose(float(self.out(capsys)), want, rel_tol=1e-8)
+
     def test_missing_flag_is_an_error(self, capsys):
         assert main(["bounds", "budget", "--eta", "1"]) == 2
         assert "requires --k" in capsys.readouterr().err
@@ -486,6 +492,8 @@ class TestBoundsCommand:
             ["factor", "--phi", "1e200"],
             ["budget", "--eta", "1e-320", "--k", "4"],
             ["eta-floor", "--lstar", "1e-320", "--k", "4"],
+            # an integer m past 2**53 is taken exactly, then phi**m overflows
+            ["lemma3", "--m", "9007199254740993", "--k", "2", "--phi", "1.0000001"],
         ],
     )
     def test_float_range_failure_is_an_error(self, argv, capsys):
@@ -554,13 +562,13 @@ class TestVerifyCommand:
         trip the chain rule, while the typed per-round API stays correct."""
         import adahedge.strategies as strategies_mod
 
-        kernel = strategies_mod.hedge_and_mix_loss
+        kernel = strategies_mod.block_hedge_and_mix_loss
 
         def off_by_a_little(*args):
             hedge, mix = kernel(*args)
             return hedge, mix + 1e-6
 
-        monkeypatch.setattr(strategies_mod, "hedge_and_mix_loss", off_by_a_little)
+        monkeypatch.setattr(strategies_mod, "block_hedge_and_mix_loss", off_by_a_little)
         results, _ = run_suite(full=False, seed=20110718)
         by_name = {res.name: res for res in results}
         assert not by_name["factorization-chain-rule"].passed

@@ -16,6 +16,7 @@ from adahedge.core import (
     hedge_and_mix_loss,
     hedge_weights,
 )
+import adahedge.strategies as strategies_mod
 from adahedge.simulation import FtlKiller, IidBernoulli, generate, unit_uniforms
 from adahedge.strategies import (
     AdaHedge,
@@ -596,3 +597,86 @@ class TestStepwiseMatchesRun:
         assert all(np.isfinite(field).all() for field in finite)
         assert starts[0] == 1 and starts[-1] <= len(arr)
         assert all(a < b for a, b in zip(starts, starts[1:]))
+
+
+def block_stream(name):
+    """Streams longer than the first block ``run`` computes (256 rounds, or
+    128 at K = 256)."""
+    if name == "ftl_killer":
+        return generate(FtlKiller(), 300, 0)
+    if name == "antithetic":  # tied totals: AdaHedge and DoublingHedge restart often
+        u = unit_uniforms(41, 150 * 5).reshape(150, 5)
+        return np.stack([u, 1.0 - u], axis=1).reshape(300, 5)
+    if name == "negative_zero":
+        u = unit_uniforms(42, 300 * 3).reshape(300, 3)
+        return np.where(u < 0.3, -0.0, np.where(u >= 0.8, 1.0, u))
+    k = int(name.removeprefix("uniform_k"))
+    t_total = 140 if k == 256 else 300
+    return unit_uniforms(4000 + k, t_total * k).reshape(t_total, k)
+
+
+BLOCK_STREAMS = [f"uniform_k{k}" for k in (2, 3, 5, 64, 256)] + [
+    "ftl_killer",
+    "antithetic",
+    "negative_zero",
+]
+BLOCK_KINDS = (
+    FollowTheLeader(),
+    FixedHedge(0.3),
+    FixedHedge(40.0),  # most rounds take the logsumexp fallback
+    FixedHedge(1e3),
+    OracleHedge(),
+    DoublingHedge(1.5),
+    AdaHedge(1.2),
+    VariableHedge(),
+)
+
+
+def trace_bytes(trace):
+    fields = (
+        trace.agent_loss,
+        trace.cum_agent_loss,
+        trace.best_cum_loss,
+        trace.regret,
+        trace.segment,
+        trace.eta,
+        trace.cum_gap,
+    )
+    return [field.tobytes() for field in fields] + [trace.segment_starts]
+
+
+class TestBlockInvariance:
+    """``run`` computes blocks of rounds at once; no block size may move a
+    bit, and every trace equals stepping the state round by round."""
+
+    @pytest.mark.parametrize("kind", BLOCK_KINDS, ids=lambda kind: kind.slug)
+    @pytest.mark.parametrize("name", BLOCK_STREAMS)
+    def test_block_size_moves_no_bit(self, name, kind, monkeypatch):
+        arr = block_stream(name)
+        k = arr.shape[1]
+        trace = run(kind, arr)
+        want = trace_bytes(trace)
+        # blocks of 1 round, then of 1, 2, 3, 3, ... rounds
+        monkeypatch.setattr(strategies_mod, "_FIRST_ROWS", 1)
+        for rows in (1, 3):
+            monkeypatch.setattr(strategies_mod, "_BLOCK_LOSSES", rows * k)
+            assert trace_bytes(run(kind, arr)) == want, f"{rows}-round blocks"
+
+        if isinstance(kind, OracleHedge):
+            kind = FixedHedge(oracle_eta(float(arr.sum(axis=0).min()), k))
+        rounds, starts = stepwise_trace(kind, arr)
+        got = list(
+            zip(
+                trace.eta.tolist(),
+                trace.segment.tolist(),
+                trace.agent_loss.tolist(),
+                trace.cum_gap.tolist(),
+                trace.best_cum_loss.tolist(),
+                trace.cum_agent_loss.tolist(),
+                trace.regret.tolist(),
+            )
+        )
+        assert got == rounds
+        assert trace.segment_starts == starts
+        if name in ("ftl_killer", "antithetic") and isinstance(kind, (AdaHedge, DoublingHedge)):
+            assert trace.segments_started >= 3

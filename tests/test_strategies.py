@@ -578,18 +578,17 @@ class TestStepwiseMatchesRun:
         kind, arr = case
         trace = run(kind, arr)
         rounds, starts = stepwise_trace(kind, arr)
-        got = list(
-            zip(
-                trace.eta.tolist(),
-                trace.segment.tolist(),
-                trace.agent_loss.tolist(),
-                trace.cum_gap.tolist(),
-                trace.best_cum_loss.tolist(),
-                trace.cum_agent_loss.tolist(),
-                trace.regret.tolist(),
-            )
+        fields = (
+            trace.eta,
+            trace.segment,
+            trace.agent_loss,
+            trace.cum_gap,
+            trace.best_cum_loss,
+            trace.cum_agent_loss,
+            trace.regret,
         )
-        assert got == rounds
+        stepped = [np.asarray(col, dtype=f.dtype) for col, f in zip(zip(*rounds), fields)]
+        assert [f.tobytes() for f in fields] == [col.tobytes() for col in stepped]
         assert trace.segment_starts == starts
         finite = [trace.agent_loss, trace.cum_agent_loss, trace.regret, trace.cum_gap]
         if not isinstance(kind, FollowTheLeader):
@@ -665,18 +664,17 @@ class TestBlockInvariance:
         if isinstance(kind, OracleHedge):
             kind = FixedHedge(oracle_eta(float(arr.sum(axis=0).min()), k))
         rounds, starts = stepwise_trace(kind, arr)
-        got = list(
-            zip(
-                trace.eta.tolist(),
-                trace.segment.tolist(),
-                trace.agent_loss.tolist(),
-                trace.cum_gap.tolist(),
-                trace.best_cum_loss.tolist(),
-                trace.cum_agent_loss.tolist(),
-                trace.regret.tolist(),
-            )
+        fields = (
+            trace.eta,
+            trace.segment,
+            trace.agent_loss,
+            trace.cum_gap,
+            trace.best_cum_loss,
+            trace.cum_agent_loss,
+            trace.regret,
         )
-        assert got == rounds
+        stepped = [np.asarray(col, dtype=f.dtype) for col, f in zip(zip(*rounds), fields)]
+        assert [f.tobytes() for f in fields] == [col.tobytes() for col in stepped]
         assert trace.segment_starts == starts
         if name in ("ftl_killer", "antithetic") and isinstance(kind, (AdaHedge, DoublingHedge)):
             assert trace.segments_started >= 3

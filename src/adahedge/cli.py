@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
@@ -113,6 +114,13 @@ def _parse_int(raw: str, key: str, path, line_no: int) -> int:
     try:
         return int(raw, 0)
     except ValueError:
+        # a well-formed decimal literal fails only past int()'s digit limit
+        # (sys.get_int_max_str_digits()), far beyond every key's range
+        if re.fullmatch(r"[+-]?[1-9](?:_?[0-9])*", raw):
+            digits = len(raw.lstrip("+-").replace("_", ""))
+            raise ConfigError(
+                path, line_no, f"{key} is out of range, got an integer of {digits} digits"
+            )
         raise ConfigError(path, line_no, f"{key} must be an integer, got {raw!r}")
 
 
@@ -231,7 +239,7 @@ def _describe_generator(generator) -> str:
 
 def cmd_run(args) -> int:
     try:
-        text = Path(args.config).read_text(encoding="utf-8")
+        text = Path(args.config).read_text(encoding="utf-8-sig")
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 3

@@ -8,9 +8,11 @@ one contract:
 
 - ``+ - * /``, ``min``, compares and masks run in numpy, which rounds them
   as Python does;
-- every ``exp``/``log``/``expm1``/``log1p`` is the ``math`` function mapped
-  over the block's elements, because numpy's vectorised transcendentals
-  may differ from the C library's in the last bit;
+- every ``exp``/``log``/``expm1``/``log1p`` is the ``math`` function,
+  because numpy's vectorised transcendentals may differ from the C
+  library's in the last bit; it is evaluated once per distinct bit pattern
+  in the block and the results gathered back, so each element gets the
+  bits a call on that element gives;
 - every sum over actions adds in sequence from 0.0, as the scalar loops do,
   never with ``np.sum``, whose pairwise order rounds differently.
 
@@ -253,8 +255,13 @@ def hedge_and_mix_loss(
 
 
 def _map(fn, x: np.ndarray) -> np.ndarray:
-    """The scalar ``math`` function ``fn`` applied to every element of ``x``."""
-    return np.fromiter(map(fn, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
+    """The scalar ``math`` function ``fn`` applied to every element of the
+    float64 array ``x``: called once per distinct bit pattern, then gathered
+    back into ``x``'s shape.  Keying on bits keeps ``-0.0`` apart from
+    ``0.0`` and one NaN payload apart from another."""
+    bits, inverse = np.unique(x.view(np.int64), return_inverse=True)
+    values = np.fromiter(map(fn, bits.view(np.float64).tolist()), np.float64, bits.size)
+    return values[inverse].reshape(x.shape)
 
 
 def _action_sums(x: np.ndarray) -> np.ndarray:

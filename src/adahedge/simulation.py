@@ -339,10 +339,13 @@ def run_experiment(
     t_total = int(config.horizon_t)
     slugs = config.slugs
 
-    sum_regret = {s: np.zeros(t_total) for s in slugs}
-    sum_cum_loss = {s: np.zeros(t_total) for s in slugs}
-    sum_eta = {s: np.zeros(t_total) for s in slugs}
-    seg_events = {s: np.zeros(t_total, dtype=np.int64) for s in slugs}
+    try:
+        sum_regret = {s: np.zeros(t_total) for s in slugs}
+        sum_cum_loss = {s: np.zeros(t_total) for s in slugs}
+        sum_eta = {s: np.zeros(t_total) for s in slugs}
+        seg_events = {s: np.zeros(t_total, dtype=np.int64) for s in slugs}
+    except ValueError:  # numpy refuses a length it cannot address, before allocating
+        raise MemoryError(f"horizon_t = {t_total} is too long for one array") from None
     seg_counts = {s: [] for s in slugs}
 
     worker = partial(_simulate_repetition, config)

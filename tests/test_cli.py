@@ -169,6 +169,26 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="horizon_t must be >= 1"):
             parse_config(text, "cfg")
 
+    @pytest.mark.parametrize(
+        "key,line", [("horizon_t", 4), ("repetitions", 5), ("base_seed", 7)]
+    )
+    def test_integer_past_the_digit_limit_is_out_of_range(self, key, line):
+        """int() refuses decimal literals of more than 4300 digits; the
+        value is well formed, so the error names its range."""
+        text = "\n".join(
+            f"{key} = {'9' * 2000}_{'1' * 3000}" if row.startswith(key) else row
+            for row in VALID.format(out="x").splitlines()
+        )
+        with pytest.raises(
+            ConfigError, match=rf"cfg:{line}: {key} is out of range, got an integer of 5000 digits"
+        ):
+            parse_config(text, "cfg")
+
+    def test_malformed_long_integer_is_not_an_integer(self):
+        text = VALID.format(out="x").replace("horizon_t = 40", f"horizon_t = 0{'1' * 5000}")
+        with pytest.raises(ConfigError, match="cfg:4: horizon_t must be an integer"):
+            parse_config(text, "cfg")
+
     def test_correlated_defaults(self):
         text = """\
 generator = correlated
@@ -323,6 +343,20 @@ class TestRunCommand:
         assert main(["run", str(self.write(tmp_path, text))]) == 2
         err = capsys.readouterr().err
         assert "horizon_t = 100000000000" in err and "repetitions = 3" in err
+
+    @pytest.mark.parametrize("horizon", ["100000000000000000000", "4611686018427387904"])
+    def test_horizon_numpy_cannot_address_names_the_sizes(
+        self, tmp_path, capsys, monkeypatch, horizon
+    ):
+        """numpy refuses arrays of these lengths before allocating anything."""
+        monkeypatch.setenv("ADAHEDGE_THREADS", "1")
+        text = VALID.format(out=tmp_path / "out").replace(
+            "horizon_t = 40", f"horizon_t = {horizon}"
+        )
+        assert main(["run", str(self.write(tmp_path, text))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"horizon_t = {horizon}" in err
+        assert not (tmp_path / "out").exists()
 
     def test_dry_run_caps_threads_at_cpu_count(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("ADAHEDGE_THREADS", "1000000")
@@ -658,6 +692,15 @@ def test_shipped_config_dry_run_plan(name, capsys, monkeypatch):
     path = EXPERIMENTS / f"{name}.cfg"
     assert main(["run", str(path), "--dry-run"]) == 0
     assert capsys.readouterr().out == f"config OK: {path}\n" + DRY_RUN_PLANS[name]
+
+
+def test_config_with_byte_order_mark(tmp_path, capsys, monkeypatch):
+    """A config saved with a UTF-8 BOM plans the same run as without it."""
+    monkeypatch.setenv("ADAHEDGE_THREADS", "1")
+    path = tmp_path / "iid.cfg"
+    path.write_bytes(b"\xef\xbb\xbf" + (EXPERIMENTS / "iid.cfg").read_bytes())
+    assert main(["run", str(path), "--dry-run"]) == 0
+    assert capsys.readouterr().out == f"config OK: {path}\n" + DRY_RUN_PLANS["iid"]
 
 
 def test_tracing_wrappers_bind(tmp_path, monkeypatch):

@@ -17,6 +17,7 @@ from adahedge.core import (
     CumulativeLoss,
     RoundReport,
     WeightSnapshot,
+    _map,
     hedge_weights,
     log_marginal_likelihood,
     mix_loss,
@@ -351,6 +352,91 @@ class TestFallbackBits:
         assert log_marginal_likelihood(cum, 40.0).hex() == "-0x1.4520e61aa10b1p+2"
         cum = CumulativeLoss((2.057, 2.09, 2.048, 2.033, 2.026, 2.036), 3)
         assert log_marginal_likelihood(cum, 40.0).hex() == "-0x1.46aa3be24d39dp+6"
+
+
+def bits_of(*patterns):
+    return np.array(patterns, dtype=np.uint64).view(np.float64)
+
+
+def map_per_element(fn, x):
+    """``_map``'s reference: ``fn`` called on every element in turn."""
+    return np.fromiter(map(fn, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
+
+
+class TestMap:
+    """``_map`` calls ``fn`` once per distinct bit pattern; every result
+    must be the bits of calling ``fn`` on each element."""
+
+    # +-0.0, +-inf, two NaN payloads, the smallest normal, subnormals, +-5e-324
+    SPECIAL = np.concatenate(
+        [
+            [0.0, -0.0, math.inf, -math.inf, 2.0**-1022, -3e-310, 1e-310, 5e-324, -5e-324],
+            bits_of(0x7FF8000000000001, 0xFFF8000000000123),
+        ]
+    )
+
+    def assert_same(self, fn, x):
+        got = _map(fn, x)
+        want = map_per_element(fn, x)
+        assert got.dtype == np.float64 and got.shape == x.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("fn", [math.exp, math.expm1])
+    def test_special_values(self, fn):
+        x = np.tile(self.SPECIAL, (3, 1))
+        self.assert_same(fn, x)
+
+    @pytest.mark.parametrize("fn", [math.log, math.log1p])
+    def test_special_values_in_domain(self, fn):
+        x = self.SPECIAL[~(self.SPECIAL <= 0.0)]  # NaNs stay
+        if fn is math.log1p:
+            x = np.concatenate([x, [0.0, -0.0, -0.5, -3e-310]])
+        self.assert_same(fn, x)
+
+    def test_expm1_keeps_the_sign_of_zero(self):
+        out = _map(math.expm1, np.array([0.0, -0.0, 0.0, -0.0]))
+        assert [math.copysign(1.0, v) for v in out] == [1.0, -1.0, 1.0, -1.0]
+
+    @pytest.mark.parametrize("distinct", [1, 7, 300, None])
+    def test_duplicates_and_distinct(self, distinct):
+        rng = np.random.default_rng(5)
+        if distinct is None:  # every element distinct
+            x = rng.uniform(-30.0, 0.0, (64, 96))
+        else:
+            x = rng.choice(rng.uniform(-30.0, 0.0, distinct), (64, 96))
+        for fn in (math.exp, math.expm1):
+            self.assert_same(fn, x)
+
+    def test_views_empty_and_zero_d(self):
+        x = np.random.default_rng(6).choice([-1.5, -0.0, 0.25, 2.0], (5, 7))
+        self.assert_same(math.exp, x.T)
+        self.assert_same(math.exp, x[::2, 1::3])
+        self.assert_same(math.exp, np.empty((4, 0)))
+        self.assert_same(math.expm1, np.array(-0.0))
+
+    def test_calls_once_per_distinct_bit_pattern(self):
+        x = np.random.default_rng(7).choice(self.SPECIAL, (256, 33))
+        calls = []
+
+        def counting_exp(v):
+            calls.append(v)
+            return math.exp(v)
+
+        assert _map(counting_exp, x).tobytes() == map_per_element(math.exp, x).tobytes()
+        assert len(calls) == np.unique(x.view(np.int64)).size < x.size
+
+    @given(
+        st.lists(
+            st.floats(max_value=700.0) | st.sampled_from(SPECIAL.tolist()),
+            min_size=0,
+            max_size=40,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_element_map(self, values):
+        x = np.array(values, dtype=np.float64).reshape(-1, 1)
+        for fn in (math.exp, math.expm1):
+            self.assert_same(fn, x)
 
 
 @st.composite

@@ -337,6 +337,9 @@ def cmd_bounds(args) -> int:
 
 def cmd_verify(args) -> int:
     seed = DEFAULT_SEED if args.seed is None else args.seed
+    if not 0 <= seed < 2**64:  # derive_seed would alias it to seed mod 2**64
+        print(f"error: --seed must be an unsigned 64-bit integer, got {seed}", file=sys.stderr)
+        return 2
     results, info = run_suite(full=args.full, seed=seed)
     profile = "--full" if args.full else "--quick"
     for res in results:

@@ -205,10 +205,7 @@ def log_weights_from_totals(totals: Sequence[float], eta: float) -> list[float]:
     """
     best = min(totals)
     scaled = [-eta * (t - best) for t in totals]
-    s = 0.0
-    for v in scaled:
-        s += math.exp(v)
-    log_norm = math.log(s)
+    log_norm = _logsumexp(scaled)
     return [v - log_norm for v in scaled]
 
 

@@ -56,14 +56,13 @@ _M64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
 
-def _mix64(x: int) -> int:
-    """SplitMix64 finalizer: a bijective avalanche on 64-bit integers."""
-    x &= _M64
-    x ^= x >> 30
-    x = (x * 0xBF58476D1CE4E5B9) & _M64
-    x ^= x >> 27
-    x = (x * 0x94D049BB133111EB) & _M64
-    x ^= x >> 31
+def _mix64(x: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer, a bijective avalanche, on a uint64 array in place."""
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(31)
     return x
 
 
@@ -73,7 +72,8 @@ def derive_seed(base_seed: int, index: int) -> int:
     index = int(index)
     if index < 0:
         raise ValueError(f"repetition index must be >= 0, got {index}")
-    return _mix64(_mix64(base_seed) ^ _mix64((index + 1) * _GAMMA))
+    x = _mix64(np.array([base_seed & _M64, (index + 1) * _GAMMA & _M64], dtype=np.uint64))
+    return int(_mix64(x[:1] ^ x[1:])[0])
 
 
 def unit_uniforms(seed: int, n: int) -> np.ndarray:
@@ -81,16 +81,10 @@ def unit_uniforms(seed: int, n: int) -> np.ndarray:
     n = int(n)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    with np.errstate(over="ignore"):
-        x = np.arange(1, n + 1, dtype=np.uint64)
-        x *= np.uint64(_GAMMA)
-        x += np.uint64(int(seed) & _M64)
-        x ^= x >> np.uint64(30)
-        x *= np.uint64(0xBF58476D1CE4E5B9)
-        x ^= x >> np.uint64(27)
-        x *= np.uint64(0x94D049BB133111EB)
-        x ^= x >> np.uint64(31)
-    return (x >> np.uint64(11)) * 2.0**-53
+    x = np.arange(1, n + 1, dtype=np.uint64)
+    x *= np.uint64(_GAMMA)
+    x += np.uint64(int(seed) & _M64)
+    return (_mix64(x) >> np.uint64(11)) * 2.0**-53
 
 
 # ---------------------------------------------------------------------------

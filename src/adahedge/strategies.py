@@ -6,10 +6,11 @@ losses back.  That stepwise API is the reference; ``run()`` plays a whole
 loss stream and records the per-round trace (losses, regret, learning
 rate, segment index) that the simulation harness aggregates.
 
-FollowTheLeader has its own state.  The Hedge kinds (fixed, doubling,
-AdaHedge, variable; OracleHedge is fixed Hedge at a hindsight rate) share
-one exponential-weights state and differ only in their schedule: the rate
-for each round and when to restart.  A restart divides eta by phi and
+Every kind runs one state, ``Strategy``.  The Hedge kinds (fixed,
+doubling, AdaHedge, variable; OracleHedge is fixed Hedge at a hindsight
+rate) differ only in their schedule: the rate for each round and when to
+restart.  FollowTheLeader is Hedge at an infinite rate, playing uniformly
+over the actions with the smallest totals.  A restart divides eta by phi and
 empties the segment's totals and gap sum.  It is applied at the start of a
 round, before weights are produced, so a depletion in the final observed
 round never opens a segment that plays no rounds.
@@ -162,34 +163,67 @@ def oracle_eta(lstar: float, k: int) -> float:
 
 
 class Strategy:
-    """Common state: cumulative losses, round count, segment bookkeeping."""
+    """The stepwise state of every kind over ``k`` actions (``init``).
+
+    The Hedge kinds play exponential weights over the current segment's
+    per-action totals: FixedHedge at its own eta, VariableHedge at a rate
+    from the best total, AdaHedge and DoublingHedge from eta = 1, divided
+    by phi once the gap sum (AdaHedge) or the segment's best loss
+    (DoublingHedge) reaches ``budget``.  Their weights come from
+    ``log_weights_from_totals``, which ``hedge_weights`` also uses, so the
+    two agree bitwise.  Leader play has eta = inf, no gap and no restart.
+    Weights are refreshed at the first act of a round, when its rate is
+    known.
+    """
 
     def __init__(self, kind: _Kind, k: int):
+        if isinstance(kind, OracleHedge):
+            raise ValueError(
+                "OracleHedge needs the stream's final best loss; use run(), or "
+                "FixedHedge(oracle_eta(lstar, k)) once lstar is known"
+            )
+        if not isinstance(kind, tuple(KINDS.values())):
+            raise TypeError(f"unknown strategy kind {kind!r}")
         if int(k) != k or k < 2:
             raise ValueError(f"need an integer number of actions >= 2, got {k!r}")
         self.kind = kind
-        self.k = int(k)
-        self._totals = [0.0] * self.k
+        self.k = k = int(k)
+        self._totals = [0.0] * k
+        self._seg_totals = [0.0] * k
         self._rounds = 0
         self.segment = 1
         self.segment_starts = [1]
         self.delta_sum = 0.0
-        self.eta = math.inf
+        self._leader = isinstance(kind, FollowTheLeader)
+        self.eta = (
+            math.inf if self._leader else kind.eta if isinstance(kind, FixedHedge) else 1.0
+        )
+        self._two_lnk = 2.0 * math.log(k)
+        self.budget = self._budget_at(self.eta)
+        self._lw = [-math.log(k)] * k
+        self._w = [1.0 / k] * k
+        # round whose weights _w holds; leader play and VariableHedge compute
+        # even their first-round weights in the refresh, as log(1/K) and
+        # exp(-ln K), which differ from -ln K and 1/K in the last bit
+        self._fresh = -1 if isinstance(kind, (FollowTheLeader, VariableHedge)) else 0
 
     # -- public API ---------------------------------------------------------
 
     def act(self) -> WeightSnapshot:
-        """Weights for the coming round (applies any pending rollover)."""
-        self._pre_act()
-        return WeightSnapshot(tuple(self._log_weights_list()))
+        """Weights for the coming round (applies any pending restart)."""
+        self._refresh()
+        return WeightSnapshot(tuple(self._lw))
 
     def observe(self, loss) -> "Strategy":
         """Consume one round of losses; mutates and returns this state."""
         row = _coerce_losses(loss, self.k)
-        self._pre_act()
-        self._observe(row)
+        self._refresh()
+        if not self._leader:
+            hedge, mix = hedge_and_mix_loss(self._w, row, self.eta, self._lw)
+            self.delta_sum += hedge - mix
         for i, v in enumerate(row):
             self._totals[i] += v
+            self._seg_totals[i] += v
         self._rounds += 1
         return self
 
@@ -199,66 +233,10 @@ class Strategy:
 
     @property
     def weights(self) -> tuple[float, ...]:
-        self._pre_act()
+        self._refresh()
         return tuple(self._w)
 
-    # -- internal (plain float lists, no validation) -------------------------
-
-    def _pre_act(self):
-        pass
-
-    def _log_weights_list(self) -> list[float]:
-        raise NotImplementedError
-
-    def _observe(self, row: list[float]):
-        """A kind's own bookkeeping for one round, before the totals add it."""
-
-
-class _FtlState(Strategy):
-    def __init__(self, kind, k):
-        super().__init__(kind, k)
-        self._w = [1.0 / k] * k
-        self._fresh = 0
-
-    def _pre_act(self):
-        if self._fresh != self._rounds:
-            tot = self._totals
-            m = min(tot)
-            inv = 1.0 / tot.count(m)
-            self._w = [inv if v == m else 0.0 for v in tot]
-            self._fresh = self._rounds
-
-    def _log_weights_list(self):
-        return [math.log(v) if v > 0.0 else _NEG_INF for v in self._w]
-
-
-class _HedgeState(Strategy):
-    """Exponential weights over the current segment's per-action totals.
-
-    Every Hedge kind runs this one update; a kind supplies only its
-    schedule.  FixedHedge plays its own eta and VariableHedge derives the
-    rate from the best total; neither has a restart budget.  AdaHedge and
-    DoublingHedge start at eta = 1 and restart with eta divided by phi once
-    the gap sum (AdaHedge) or the segment's best loss (DoublingHedge)
-    reaches ``budget``.  Weights come from ``log_weights_from_totals``, the
-    kernel ``hedge_weights`` uses, so the two agree bitwise; they are
-    refreshed lazily, at the first act of a round, when its rate is known.
-    """
-
-    def __init__(self, kind, k):
-        super().__init__(kind, k)
-        self.eta = kind.eta if isinstance(kind, FixedHedge) else 1.0
-        self._two_lnk = 2.0 * math.log(k)
-        self.budget = self._budget_at(self.eta)
-        self._budget_on_lstar = isinstance(kind, DoublingHedge)
-        self._rate_from_lstar = isinstance(kind, VariableHedge)
-        # without a budget the one segment is the whole stream
-        self._seg_totals = self._totals if self.budget == math.inf else [0.0] * k
-        self._lw = [-math.log(k)] * k
-        self._w = [1.0 / k] * k
-        # round whose weights _w holds; VariableHedge computes even its
-        # first-round weights through its rate rule, as exp(-ln K)
-        self._fresh = -1 if self._rate_from_lstar else 0
+    # -- schedule, also called by run() --------------------------------------
 
     def _budget_at(self, eta):
         if isinstance(self.kind, AdaHedge):
@@ -271,7 +249,7 @@ class _HedgeState(Strategy):
     def _depleted(self, seg_best, gap_sum):
         """The restart test before a round, from the segment's best total
         and gap sum so far; elementwise over arrays of them."""
-        return (seg_best if self._budget_on_lstar else gap_sum) >= self.budget
+        return (seg_best if isinstance(self.kind, DoublingHedge) else gap_sum) >= self.budget
 
     def _restart(self, start: int):
         """Open the next segment, whose first round is ``start``."""
@@ -290,42 +268,30 @@ class _HedgeState(Strategy):
                 1.0, np.sqrt(self._two_lnk / np.where(lstar > 0.0, lstar, self._two_lnk))
             )
 
-    def _pre_act(self):
+    # -- internal (plain float lists, no validation) -------------------------
+
+    def _refresh(self):
+        """Apply a pending restart and the round's rate, then compute the
+        round's weights; once per round."""
         if self._fresh == self._rounds:
             return
         self._fresh = self._rounds
         if self._depleted(min(self._seg_totals), self.delta_sum):
             self._restart(self._rounds + 1)
-        elif self._rate_from_lstar:
+        elif isinstance(self.kind, VariableHedge):
             self.eta = float(self._variable_rate(min(self._totals)))
-        lw = log_weights_from_totals(self._seg_totals, self.eta)
-        self._lw = lw
-        self._w = [math.exp(v) for v in lw]
-
-    def _log_weights_list(self):
-        return self._lw
-
-    def _observe(self, row):
-        hedge, mix = hedge_and_mix_loss(self._w, row, self.eta, self._lw)
-        self.delta_sum += hedge - mix
         seg = self._seg_totals
-        if seg is not self._totals:
-            for i, v in enumerate(row):
-                seg[i] += v
+        if self._leader:
+            m = min(seg)
+            inv = 1.0 / seg.count(m)
+            self._w = [inv if v == m else 0.0 for v in seg]
+            self._lw = [math.log(v) if v > 0.0 else _NEG_INF for v in self._w]
+        else:
+            self._lw = log_weights_from_totals(seg, self.eta)
+            self._w = [math.exp(v) for v in self._lw]
 
 
-def init(kind: _Kind, k: int) -> Strategy:
-    """Fresh state for ``kind`` over ``k`` actions, uniform first-round play."""
-    if isinstance(kind, FollowTheLeader):
-        return _FtlState(kind, k)
-    if isinstance(kind, OracleHedge):
-        raise ValueError(
-            "OracleHedge needs the stream's final best loss; use run(), or "
-            "FixedHedge(oracle_eta(lstar, k)) once lstar is known"
-        )
-    if isinstance(kind, tuple(KINDS.values())):  # every other kind is a Hedge schedule
-        return _HedgeState(kind, k)
-    raise TypeError(f"unknown strategy kind {kind!r}")
+init = Strategy
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +377,7 @@ def run(kind: _Kind, losses) -> RegretTrace:
         state = init(FixedHedge(oracle_eta(lstar, k)), k)
     else:
         state = init(kind, k)
-    ftl = isinstance(state, _FtlState)
+    ftl = isinstance(kind, FollowTheLeader)
     restarts = isinstance(kind, _Restarting)
     variable = isinstance(kind, VariableHedge)
 

@@ -572,6 +572,13 @@ class TestVerifyCommand:
     def test_quick_and_full_are_exclusive(self, capsys):
         assert main(["verify", "--quick", "--full"]) == 2
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_bits_is_refused(self, seed, capsys):
+        assert main(["verify", "--full", "--seed", seed]) == 2
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out and "FAIL" not in captured.out
+        assert "--seed" in captured.err
+
     def test_weakened_gap_constant_is_caught(self):
         """Shrinking the gap-bound coefficient from (e - 2) to (e - 2.1)
         must trip the posterior-gap property: the suite samples near-binary

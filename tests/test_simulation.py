@@ -52,6 +52,29 @@ class TestRandomnessKernel:
         u = unit_uniforms(20110717, 200_000)
         assert abs(float(u.mean()) - 0.5) < 0.005
 
+    def test_seeds_and_uniforms_pinned(self):
+        """Values recorded before the SplitMix64 finalizer was shared by
+        ``derive_seed`` and ``unit_uniforms``; seeds and indices outside
+        [0, 2**64) are read modulo 2**64."""
+        assert derive_seed(20110717, 0) == 4669015438272984285
+        assert derive_seed(0, 0) == 5197578548964807871
+        assert derive_seed(-1, 0) == 17272934151417163375
+        assert derive_seed(-20110718, 3) == 4902966046946248668
+        assert derive_seed(2**64 + 5, 2) == 14807283364393364910
+        assert derive_seed(7, 2**64) == 1732980984081694018
+        assert derive_seed(2**70 + 1, 2**64 + 9) == 13787382996389560898
+        assert [x.hex() for x in unit_uniforms(0, 3)] == [
+            "0x1.c4415072f63b9p-1", "0x1.b9e279aa86e58p-2", "0x1.b117462002500p-6",
+        ]
+        assert [x.hex() for x in unit_uniforms(-5, 4)] == [
+            "0x1.6b1cba95fc600p-4", "0x1.1d76ef18db002p-1",
+            "0x1.c3d7376cc88c1p-1", "0x1.b1de70de4fe21p-1",
+        ]
+        assert [x.hex() for x in unit_uniforms(2**65 + 3, 4)] == [
+            "0x1.d0b14e4db0188p-4", "0x1.668cdf14f7035p-1",
+            "0x1.39d7d14da0a1bp-1", "0x1.2a764fb66abc8p-4",
+        ]
+
 
 class TestGenerators:
     def test_alternating_pair_first_rows(self):

@@ -120,6 +120,10 @@ class TestInit:
         with pytest.raises(ValueError, match="actions"):
             init(FollowTheLeader(), 1)
 
+    def test_rejects_non_kind(self):
+        with pytest.raises(TypeError, match="unknown strategy kind"):
+            init("ftl", 2)
+
 
 class TestFollowTheLeaderActs:
     def test_plays_unique_leader(self):
@@ -678,3 +682,97 @@ class TestBlockInvariance:
         assert trace.segment_starts == starts
         if name in ("ftl_killer", "antithetic") and isinstance(kind, (AdaHedge, DoublingHedge)):
             assert trace.segments_started >= 3
+
+
+# sha256 of every public attribute of the stepwise state, round by round,
+# recorded before leader play and the Hedge kinds shared one state class.
+# K = 7 is in the grid because FTL's fresh log weights are log(1/K), and
+# log(1/7) != -log(7), which the Hedge kinds' fresh log weights are.
+STEPWISE_KINDS = (
+    FollowTheLeader(),
+    FixedHedge(0.3),
+    FixedHedge(40.0),
+    DoublingHedge(1.5),
+    AdaHedge(1.2),
+    VariableHedge(),
+)
+STEPWISE_DIGESTS = {
+    ("ftl", 2): "cf3d1b60b44154a019bbda2e6321e1af6a6cd9e6a9ea36c1c62da2cbccdda076",
+    ("fixed_hedge_eta0.3", 2): "85f86f0bc6a7e865a51104860ea98b0c0e0568acc5d2641eabf4e7b483be0faf",
+    ("fixed_hedge_eta40", 2): "b0949802f59ffd27c7e947dab24d7c0e7ce15b9353b981928801d665057adfce",
+    ("doubling_hedge_phi1.5", 2): "a0f5c097add0807cc0a5cb30987bbe2ad54dd508bd166cb4d61f6b7f5de76db2",
+    ("adahedge_phi1.2", 2): "6b95301bb0c2ec561dd52f1aaba001246e85a8ae9e64c800962aa3327e0a2a13",
+    ("variable_hedge", 2): "f2f184f97e02ac781822c6571d4161ef3786565fd34925f04166a05983daf8d6",
+    ("ftl", 3): "c67b9ee9250ddb7812ab35ab4af7637ab39e1eba2b373c3e0b48210f0b1479d1",
+    ("fixed_hedge_eta0.3", 3): "5d9be00be3f1aa63e30cde8afed325a0a60cb38c775aa5132109542fec85fe3b",
+    ("fixed_hedge_eta40", 3): "3a2ba10c288d4aafbd372811bf16fe4fdf39147d1949e078b57d1db97ff71b17",
+    ("doubling_hedge_phi1.5", 3): "61d89917ef8e14301041ced17f159d72b8ffb6c1e4e2d50c7d97940386859e71",
+    ("adahedge_phi1.2", 3): "6ba900d238992e57cc0713280f4c481c97adbf99894b7fa72a8a9d50cc1c14ff",
+    ("variable_hedge", 3): "1bbccff4a87e3f74ecde243a03a2139c1035f68544d5c85a0aada497aaf97eb7",
+    ("ftl", 5): "4414b7a43873b68bdf6f43f26f30dca96c1f8972710dca3b90f2345273653730",
+    ("fixed_hedge_eta0.3", 5): "86000cc8d6c03db7c35b4eb33e51b921a335160bdb17d918d89029647c6c453b",
+    ("fixed_hedge_eta40", 5): "5eab69a34c0dc58a368c3225b91fe3b12af6e29fe7530028ba71157fc09a6938",
+    ("doubling_hedge_phi1.5", 5): "dee5da1e306432b9e23a6920ef854c5da182a84224fd6ea4f88ee75c70478f97",
+    ("adahedge_phi1.2", 5): "e667d827674fe6885ce577b1a10c721a9af41b267f39d779dd1e7d97e2b48375",
+    ("variable_hedge", 5): "fd7b4a437582e3c94e0c0befb76ceb9622357880276d6dba9548955e4d8fdfe2",
+    ("ftl", 7): "e9a1f8e82620a52626e9a6c77707ea08e21c021210bfc92a8bd282ca81612308",
+    ("fixed_hedge_eta0.3", 7): "6aa8d62bf3811d6961016190a6d3aac6b83975b7c01a555de161510d391b14be",
+    ("fixed_hedge_eta40", 7): "7970d1b0489674ea9d90a4d6cdd1f2ac1f1df60f01f25c36be335f79657d738a",
+    ("doubling_hedge_phi1.5", 7): "86ac16267d499c068b75edf6c3f706f67a75f0cf6393878fc89f0be4dc69149e",
+    ("adahedge_phi1.2", 7): "cbd7221bb6db19dd7fa8d73fcaf196ffee61cd53da253932b0890d5288fcc92a",
+    ("variable_hedge", 7): "59884c2e4cb0dc20a3b87735d1143c63b3c6f20f42800964c8316329680a3720",
+    ("ftl", 64): "8b0dab89e917f87a9853ab492df7894ee46cd0e94b1f453fcab257336b1d22e8",
+    ("fixed_hedge_eta0.3", 64): "173f7d904243cb93e8633cd230ca9742aba9a6a00d1628482499175ebfe4f0ae",
+    ("fixed_hedge_eta40", 64): "d7a388d51ac2bb2dda5a7aa4ec7c688d2b08d85e86eb2ab656d389c027758897",
+    ("doubling_hedge_phi1.5", 64): "71c74d600528c3e4964d8f29426a61bea2dbbcb6d82a7a6ea0038f93fb9cc5ea",
+    ("adahedge_phi1.2", 64): "60d8f08f96afeda2004f4d0d420432cc19b0ad4aef2cf8ce982a29e96eb5457a",
+    ("variable_hedge", 64): "70556b1d772f33fe47e2f728775ae521edb217981cbcb64d30dc974a17d05ac8",
+}
+
+
+def stepwise_stream(k):
+    """200 rounds with exact -0.0 and 1 losses mixed into uniform ones,
+    each odd round followed by its antithetic round, so that near ties
+    keep the Hedge weights spread and the restarting kinds restart."""
+    u = unit_uniforms(500 + k, 100 * k).reshape(100, k)
+    u = np.stack([u, 1.0 - u], axis=1).reshape(200, k)
+    return np.where(u < 0.2, -0.0, np.where(u >= 0.8, 1.0, u))
+
+
+def stepwise_digest(kind, arr):
+    """Hash of the public attributes read before and after each round's
+    act() (which applies a pending restart), of the weights it gives, and
+    of the final segment starts; also returns the segments started."""
+    state = init(kind, arr.shape[1])
+    h = hashlib.sha256()
+
+    def floats(values):
+        h.update(np.asarray(values, dtype=np.float64).tobytes())
+
+    def attributes():
+        floats([state.eta, state.delta_sum, *state.cum.totals])
+        h.update(np.asarray([state.segment, state.cum.rounds], dtype=np.int64).tobytes())
+        if not isinstance(kind, FollowTheLeader):
+            floats([state.budget])
+
+    for row in [*arr.tolist(), None]:
+        attributes()
+        floats(state.act().log_weights)
+        floats(state.weights)
+        attributes()
+        if row is not None:
+            state.observe(row)
+    h.update(np.asarray(state.segment_starts, dtype=np.int64).tobytes())
+    return h.hexdigest(), len(state.segment_starts)
+
+
+class TestStepwisePinned:
+    @pytest.mark.parametrize("k", [2, 3, 5, 7, 64])
+    def test_state_bits_unchanged(self, k):
+        arr = stepwise_stream(k)
+        got = {}
+        for kind in STEPWISE_KINDS:
+            got[kind.slug, k], segments = stepwise_digest(kind, arr)
+            if isinstance(kind, (AdaHedge, DoublingHedge)):
+                assert segments >= 2, kind.slug
+        assert got == {key: STEPWISE_DIGESTS.get(key) for key in got}

@@ -8,7 +8,8 @@ checked and reported by name; nothing is clamped silently.
 from __future__ import annotations
 
 import math
-from numbers import Integral
+
+from .core import _check_int
 
 __all__ = [
     "GOLDEN_RATIO",
@@ -36,16 +37,6 @@ GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 def _check(name: str, ok: bool, requirement: str):
     if not ok:
         raise ValueError(f"{name} {requirement}")
-
-
-def _check_int(name: str, x, low: int) -> int:
-    """``x`` as an int, refused unless it is an integer >= ``low``.  An
-    integer type is taken exactly, never rounded through a float."""
-    if not isinstance(x, Integral):
-        x = float(x)
-        _check(name, x.is_integer(), f"must be an integer >= {low}")
-    _check(name, int(x) >= low, f"must be an integer >= {low}")
-    return int(x)
 
 
 def _check_k(k: int) -> int:

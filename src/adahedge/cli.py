@@ -337,10 +337,17 @@ def cmd_bounds(args) -> int:
 
 def cmd_verify(args) -> int:
     seed = DEFAULT_SEED if args.seed is None else args.seed
-    if not 0 <= seed < 2**64:  # derive_seed would alias it to seed mod 2**64
-        print(f"error: --seed must be an unsigned 64-bit integer, got {seed}", file=sys.stderr)
+    try:
+        if args.full:  # the experiment report reads the thread count; refuse it first
+            _resolve_threads(None)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    results, info = run_suite(full=args.full, seed=seed)
+    try:
+        results, info = run_suite(full=args.full, seed=seed)
+    except ValueError as exc:  # the seed, refused before any property runs
+        print(f"error: --{exc}", file=sys.stderr)
+        return 2
     profile = "--full" if args.full else "--quick"
     for res in results:
         line = f"{'PASS' if res.passed else 'FAIL'} {res.name}: {res.detail}"

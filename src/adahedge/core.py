@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -58,8 +59,19 @@ _NEG_INF = float("-inf")
 def _check_eta(eta: float) -> float:
     eta = float(eta)
     if not math.isfinite(eta) or eta <= 0.0:
-        raise ValueError(f"learning rate must be positive and finite, got {eta!r}")
+        raise ValueError(f"learning rate eta must be positive and finite, got {eta!r}")
     return eta
+
+
+def _check_int(name: str, x, low: int, high: float = math.inf) -> int:
+    """``x`` as an int, refused by ``name`` unless it is an integer in
+    [low, high].  An integer type is taken exactly, never rounded through a
+    float; a float only when it holds an integer."""
+    if not isinstance(x, int) and isinstance(x, Real) and float(x).is_integer():
+        x = int(x)  # a numpy integer or integral float; ints skip the slower ABC check
+    if not (isinstance(x, int) and low <= x <= high):
+        raise ValueError(f"{name} must be an integer in [{low}, {high}], got {x!r}")
+    return int(x)
 
 
 def _coerce_losses(values, k: int | None = None) -> list[float]:
@@ -100,11 +112,9 @@ class CumulativeLoss:
 
     def __init__(self, totals: Iterable[float], rounds: int):
         totals = tuple(float(v) for v in totals)
-        rounds = int(rounds)
+        rounds = _check_int("rounds", rounds, 0)
         if len(totals) < 2:
             raise ValueError(f"need at least 2 actions, got {len(totals)}")
-        if rounds < 0:
-            raise ValueError(f"rounds must be nonnegative, got {rounds}")
         hi = rounds + (rounds + 1) * LOSS_RANGE_TOL
         for v in totals:
             if not (-LOSS_RANGE_TOL * (rounds + 1) <= v <= hi):

@@ -31,6 +31,7 @@ from typing import Optional
 
 import numpy as np
 
+from .core import _check_int
 from .strategies import AdaHedge, DoublingHedge, _Kind, run
 
 __all__ = [
@@ -68,19 +69,14 @@ def _mix64(x: np.ndarray) -> np.ndarray:
 
 def derive_seed(base_seed: int, index: int) -> int:
     """Substream seed for repetition ``index`` under ``base_seed``."""
-    base_seed = int(base_seed)
-    index = int(index)
-    if index < 0:
-        raise ValueError(f"repetition index must be >= 0, got {index}")
-    x = _mix64(np.array([base_seed & _M64, (index + 1) * _GAMMA & _M64], dtype=np.uint64))
+    index = _check_int("repetition index", index, 0)
+    x = _mix64(np.array([int(base_seed) & _M64, (index + 1) * _GAMMA & _M64], dtype=np.uint64))
     return int(_mix64(x[:1] ^ x[1:])[0])
 
 
 def unit_uniforms(seed: int, n: int) -> np.ndarray:
     """First ``n`` uniforms in [0, 1) of the SplitMix64 stream ``seed``."""
-    n = int(n)
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    n = _check_int("n", n, 0)
     x = np.arange(1, n + 1, dtype=np.uint64)
     x *= np.uint64(_GAMMA)
     x += np.uint64(int(seed) & _M64)
@@ -178,9 +174,7 @@ GENERATORS = {
 
 def generate(spec: _Generator, horizon_t: int, seed: int) -> np.ndarray:
     """Loss stream of shape (horizon_t, K) for one repetition seed."""
-    t_total = int(horizon_t)
-    if t_total < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon_t!r}")
+    t_total = _check_int("horizon_t", horizon_t, 1)
 
     if isinstance(spec, IidBernoulli):
         k = spec.k
@@ -231,19 +225,19 @@ class ExperimentConfig:
     output_dir: Optional[Path] = None
 
     def __post_init__(self):
-        if int(self.horizon_t) < 1:
-            raise ValueError(f"horizon_t must be >= 1, got {self.horizon_t!r}")
-        if int(self.repetitions) < 1:
-            raise ValueError(f"repetitions must be >= 1, got {self.repetitions!r}")
+        if not isinstance(self.generator, _Generator):
+            raise TypeError(f"generator must be a generator spec, got {self.generator!r}")
+        object.__setattr__(self, "horizon_t", _check_int("horizon_t", self.horizon_t, 1))
+        object.__setattr__(self, "repetitions", _check_int("repetitions", self.repetitions, 1))
+        object.__setattr__(self, "base_seed", _check_int("base_seed", self.base_seed, 0, _M64))
         object.__setattr__(self, "strategies", tuple(self.strategies))
         if not self.strategies:
             raise ValueError("need at least one strategy")
+        if not all(isinstance(kind, _Kind) for kind in self.strategies):
+            raise TypeError(f"strategies must be strategy kinds, got {self.strategies!r}")
         slugs = [kind.slug for kind in self.strategies]
         if len(set(slugs)) != len(slugs):
             raise ValueError(f"duplicate strategies in roster: {slugs}")
-        seed = int(self.base_seed)
-        if not (0 <= seed <= _M64):
-            raise ValueError(f"base_seed must fit in 64 bits, got {self.base_seed!r}")
         if self.output_dir is not None:
             object.__setattr__(self, "output_dir", Path(self.output_dir))
 
@@ -273,11 +267,11 @@ class AggregateResult:
 
     @property
     def horizon(self) -> int:
-        return int(self.config.horizon_t)
+        return self.config.horizon_t
 
     @property
     def repetitions(self) -> int:
-        return int(self.config.repetitions)
+        return self.config.repetitions
 
 
 @dataclass(frozen=True)
@@ -287,18 +281,13 @@ class SegmentStats:
 
 
 def _resolve_threads(threads: Optional[int]) -> int:
-    if threads is None:
-        env = os.environ.get(THREADS_ENV)
-        if env is not None:
-            try:
-                threads = int(env)
-            except ValueError:
-                raise ValueError(f"{THREADS_ENV} must be an integer, got {env!r}")
-        else:
-            threads = os.cpu_count() or 1
-    threads = int(threads)
-    if threads < 1:
-        raise ValueError(f"thread count must be >= 1, got {threads}")
+    name, env = "threads", os.environ.get(THREADS_ENV)
+    if threads is None and env is not None:
+        try:
+            name, threads = THREADS_ENV, int(env)
+        except ValueError:  # text int() refuses is refused below, by name
+            name, threads = THREADS_ENV, env
+    threads = _check_int(name, (os.cpu_count() or 1) if threads is None else threads, 1)
     # a fork pool starts all its workers at once; more than the cores buy nothing
     return min(threads, os.cpu_count() or 1)
 
@@ -329,8 +318,8 @@ def run_experiment(
     ``config.output_dir`` is set, trace and summary CSVs are written there.
     """
     threads = _resolve_threads(threads)
-    reps = int(config.repetitions)
-    t_total = int(config.horizon_t)
+    reps = config.repetitions
+    t_total = config.horizon_t
     slugs = config.slugs
 
     try:

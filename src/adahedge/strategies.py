@@ -36,6 +36,8 @@ from .core import (
     CumulativeLoss,
     WeightSnapshot,
     _action_sums,
+    _check_eta,
+    _check_int,
     _coerce_losses,
     _map,
     block_hedge_and_mix_loss,
@@ -97,8 +99,7 @@ class FixedHedge(_Kind):
     eta: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.eta) and self.eta > 0.0):
-            raise ValueError(f"eta must be positive and finite, got {self.eta!r}")
+        object.__setattr__(self, "eta", _check_eta(self.eta))
 
 
 @dataclass(frozen=True)
@@ -113,8 +114,7 @@ class _Restarting(_Kind):
     phi: float = 2.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.phi) and self.phi > 1.0):
-            raise ValueError(f"phi must be finite and > 1, got {self.phi!r}")
+        object.__setattr__(self, "phi", bounds._check_phi(self.phi))
 
 
 @dataclass(frozen=True)
@@ -184,10 +184,8 @@ class Strategy:
             )
         if not isinstance(kind, tuple(KINDS.values())):
             raise TypeError(f"unknown strategy kind {kind!r}")
-        if int(k) != k or k < 2:
-            raise ValueError(f"need an integer number of actions >= 2, got {k!r}")
         self.kind = kind
-        self.k = k = int(k)
+        self.k = k = _check_int("number of actions k", k, 2)
         self._totals = [0.0] * k
         self._seg_totals = [0.0] * k
         self._rounds = 0

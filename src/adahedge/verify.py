@@ -27,6 +27,7 @@ from .core import (
     PER_OP_TOL,
     CumulativeLoss,
     WeightSnapshot,
+    _check_int,
     log_marginal_likelihood,
     mix_loss,
     mixability_gap,
@@ -373,8 +374,9 @@ def run_suite(*, full: bool = False, seed: int = DEFAULT_SEED):
     The quick profile keeps the whole suite under ~10 seconds; the full
     profile uses acceptance-scale sample counts and also reruns the
     correlated-losses experiment for the informational segment report.
+    ``seed`` must be in [0, 2**64); any other is refused before a property runs.
     """
-    seed = int(seed)
+    seed = _check_int("seed", seed, 0, 2**64 - 1)
     results = []
     for i, (name, check, quick_args, full_args) in enumerate(_CHECKS):
         try:

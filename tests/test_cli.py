@@ -6,8 +6,10 @@ import io
 import math
 import os
 import pkgutil
+import re
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 from dataclasses import MISSING, fields
 from pathlib import Path
@@ -229,6 +231,38 @@ base_seed = 1
 output_dir = out
 """
         assert parse_config(text).generator == AlternatingPair(a=0.2, b=0.6, eps=0.1)
+
+    @pytest.mark.parametrize(
+        "old,new,line,message",
+        [
+            ("ftl,", "ftl),", 6, "unbalanced ')' in strategy list"),
+            ("adahedge(phi=2)", "adahedge(phi=2)x", 6, "missing ')' in strategy 'adahedge(phi=2)x'"),
+            ("adahedge(phi=2)", "adahedge(2)", 6, "expected key=value inside 'adahedge(2)', got '2'"),
+            ("adahedge(phi=2)", "adahedge(phi=x)", 6, "'phi' in 'adahedge(phi=x)' is not a number"),
+            ("probs = 0.2, 0.8", "probs = 0.2, x", 3, "probs must be a number, got ' x'"),
+            ("horizon_t = 40", "horizon_t 40", 4, "expected key = value, got 'horizon_t 40'"),
+            ("repetitions = 3", "repetitions =", 5, "key 'repetitions' has an empty value"),
+            (
+                "iid_bernoulli\nprobs = 0.2, 0.8",
+                "alternating_pair\na = 0.2\nb = 0.6",
+                2,
+                "generator 'alternating_pair' requires key 'eps'",
+            ),
+            ("repetitions = 3", "repetitions = 0", 5, "repetitions must be >= 1, got 0"),
+            (
+                "base_seed = 11",
+                "base_seed = 18446744073709551616",
+                7,
+                "base_seed must be an unsigned 64-bit integer",
+            ),
+            ("ftl, adahedge(phi=2), fixed_hedge(eta=0.5)", ",", 6, "strategies list is empty"),
+        ],
+    )
+    def test_refusal_names_its_line(self, old, new, line, message):
+        text = VALID.format(out="x")
+        assert old in text
+        with pytest.raises(ConfigError, match=rf"^cfg:{line}: {re.escape(message)}$"):
+            parse_config(text.replace(old, new), "cfg")
 
 
 class TestReportWriters:
@@ -464,6 +498,13 @@ class TestRunCommand:
         root = ET.parse(out / "regret.svg").getroot()
         assert root is not None
 
+    def test_output_dir_under_a_file_is_an_io_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("ADAHEDGE_THREADS", "1")
+        (tmp_path / "file").write_text("")
+        path = self.write(tmp_path, VALID.format(out=tmp_path / "file" / "out"))
+        assert main(["run", str(path)]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestBoundsCommand:
     def out(self, capsys):
@@ -578,6 +619,18 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert "PASS" not in captured.out and "FAIL" not in captured.out
         assert "--seed" in captured.err
+
+    @pytest.mark.parametrize("threads", ["abc", "0"])
+    def test_full_refuses_bad_thread_count_first(self, threads, capsys, monkeypatch):
+        """The experiment report reads ADAHEDGE_THREADS; a bad value is
+        refused before any property runs."""
+        monkeypatch.setenv("ADAHEDGE_THREADS", threads)
+        start = time.perf_counter()
+        assert main(["verify", "--full"]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out and "FAIL" not in captured.out
+        assert "ADAHEDGE_THREADS" in captured.err
 
     def test_weakened_gap_constant_is_caught(self):
         """Shrinking the gap-bound coefficient from (e - 2) to (e - 2.1)

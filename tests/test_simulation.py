@@ -201,6 +201,27 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="base_seed"):
             self.small(base_seed=1 << 64)
 
+    def test_rejects_generator_that_is_not_a_spec(self):
+        with pytest.raises(TypeError, match="generator"):
+            self.small(generator="iid")
+
+    def test_rejects_roster_entry_that_is_not_a_kind(self):
+        with pytest.raises(TypeError, match="strategies"):
+            self.small(strategies=(FollowTheLeader(), "ftl"))
+
+    def test_summary_records_the_ints_it_ran(self, tmp_path):
+        """Integral floats and numpy integers are stored, run and written
+        as the ints they hold."""
+        cfg = self.small(
+            horizon_t=5.0, repetitions=np.int64(2), base_seed=np.float64(3.0),
+            strategies=(FollowTheLeader(),), output_dir=tmp_path,
+        )
+        assert (cfg.horizon_t, cfg.repetitions, cfg.base_seed) == (5, 2, 3)
+        run_experiment(cfg, threads=1)
+        rows = (tmp_path / "summary.csv").read_text().splitlines()
+        assert rows[1].endswith(",2,5,3")
+        assert len((tmp_path / "trace_ftl.csv").read_text().splitlines()) == 1 + 5
+
 
 class TestRunExperiment:
     def config(self, reps=3, output_dir=None):

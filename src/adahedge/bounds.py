@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from .core import _check_int
+from .core import _check_int, _check_real
 
 __all__ = [
     "GOLDEN_RATIO",
@@ -34,19 +34,12 @@ _E2 = math.e - 2.0  # e - 2
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 
 
-def _check(name: str, ok: bool, requirement: str):
-    if not ok:
-        raise ValueError(f"{name} {requirement}")
-
-
 def _check_k(k: int) -> int:
     return _check_int("k", k, 2)
 
 
 def _check_phi(phi: float) -> float:
-    phi = float(phi)
-    _check("phi", math.isfinite(phi) and phi > 1.0, "must be finite and > 1")
-    return phi
+    return _check_real("phi", phi, 1)
 
 
 def budget(eta: float, k: int) -> float:
@@ -55,34 +48,29 @@ def budget(eta: float, k: int) -> float:
     A fixed-rate Hedge run is said to deplete its budget once its summed
     per-round gaps reach this value.
     """
-    eta = float(eta)
-    _check("eta", math.isfinite(eta) and eta > 0.0, "must be > 0")
+    eta = _check_real("eta", eta, 0)
     k = _check_k(k)
     return (1.0 / eta + 1.0 / _E1) * math.log(k)
 
 
 def lemma2_bound(eta: float, lstar: float, k: int) -> float:
     """Upper bound (eta*lstar + ln k)/(e-1) on the cumulative gap, eta <= 1."""
-    eta = float(eta)
-    _check("eta", math.isfinite(eta) and 0.0 < eta <= 1.0, "must be in (0, 1]")
-    lstar = float(lstar)
-    _check("lstar", math.isfinite(lstar) and lstar >= 0.0, "must be >= 0")
+    eta = _check_real("eta", eta, 0, 1)
+    lstar = _check_real("lstar", lstar, 0, low_in=True)
     k = _check_k(k)
     return (eta * lstar + math.log(k)) / _E1
 
 
 def eta_floor(lstar: float, k: int) -> float:
     """Smallest rate sqrt((e-1)*ln(k)/lstar) a depleted run can have used."""
-    lstar = float(lstar)
-    _check("lstar", math.isfinite(lstar) and lstar > 0.0, "must be > 0")
+    lstar = _check_real("lstar", lstar, 0)
     k = _check_k(k)
     return math.sqrt(_E1 * math.log(k) / lstar)
 
 
 def theorem1_bound(lstar: float, k: int) -> float:
     """Regret bound sqrt(4/(e-1)*lstar*ln k) + ln(k)/(e-1) + 1/8 at depletion."""
-    lstar = float(lstar)
-    _check("lstar", math.isfinite(lstar) and lstar >= 0.0, "must be >= 0")
+    lstar = _check_real("lstar", lstar, 0, low_in=True)
     k = _check_k(k)
     lnk = math.log(k)
     return math.sqrt(4.0 / _E1 * lstar * lnk) + lnk / _E1 + 0.125
@@ -111,10 +99,8 @@ def theorem2_leading_factor(phi: float) -> float:
 
 def lemma4_bound(eta: float, wstar: float) -> float:
     """Gap bound (e-2)*eta*(1 - wstar) given the best action's weight, eta <= 1."""
-    eta = float(eta)
-    _check("eta", math.isfinite(eta) and 0.0 < eta <= 1.0, "must be in (0, 1]")
-    wstar = float(wstar)
-    _check("wstar", 0.0 <= wstar <= 1.0, "must be in [0, 1]")
+    eta = _check_real("eta", eta, 0, 1)
+    wstar = _check_real("wstar", wstar, 0, 1, low_in=True)
     return _E2 * eta * (1.0 - wstar)
 
 
@@ -126,19 +112,16 @@ def lemma5_ck(k: int, alpha: float, beta: float) -> float:
     argument would leave the supported range).
     """
     k = _check_k(k)
-    alpha = float(alpha)
-    _check("alpha", math.isfinite(alpha) and alpha > 0.0, "must be > 0")
-    beta = float(beta)
-    _check("beta", math.isfinite(beta) and beta >= 0.1, "must be >= 1/10")
+    alpha = _check_real("alpha", alpha, 0)
+    beta = _check_real("beta", beta, 0.1, low_in=True)
     return (k - 1) * alpha ** (-1.0 / beta) * math.gamma(1.0 + 1.0 / beta)
 
 
 def lemma5_bound(k: int, alpha: float, beta: float, eta: float) -> float:
     """Bound C * eta**(-1/beta) on the summed posterior mass off the best action."""
     ck = lemma5_ck(k, alpha, beta)
-    eta = float(eta)
-    _check("eta", math.isfinite(eta) and eta > 0.0, "must be > 0")
-    return ck * eta ** (-1.0 / float(beta))
+    eta = _check_real("eta", eta, 0)
+    return ck * eta ** (-1.0 / _check_real("beta", beta, 0.1, low_in=True))
 
 
 def intro_mstar(alpha: float, phi: float) -> int:
@@ -147,8 +130,7 @@ def intro_mstar(alpha: float, phi: float) -> int:
     Equals 1 + ceil(log_phi((e-2)/(alpha*ln 2) + 1/(8*ln 2))), at least 2.
     With losses in [0, 1] the per-round divergence alpha is at most 1.
     """
-    alpha = float(alpha)
-    _check("alpha", 0.0 < alpha <= 1.0, "must be in (0, 1]")
+    alpha = _check_real("alpha", alpha, 0, 1)
     phi = _check_phi(phi)
     ln2 = math.log(2.0)
     inner = _E2 / (alpha * ln2) + 1.0 / (8.0 * ln2)
@@ -160,10 +142,8 @@ def theorem3_mstar(alpha: float, delta_prob: float, k: int, phi: float) -> int:
 
     Holds with probability at least 1 - delta_prob; requires alpha <= 1/2.
     """
-    alpha = float(alpha)
-    _check("alpha", math.isfinite(alpha) and 0.0 < alpha <= 0.5, "must be in (0, 1/2]")
-    delta_prob = float(delta_prob)
-    _check("delta_prob", 0.0 < delta_prob <= 1.0, "must be in (0, 1]")
+    alpha = _check_real("alpha", alpha, 0, 0.5)
+    delta_prob = _check_real("delta_prob", delta_prob, 0, 1)
     k = _check_k(k)
     phi = _check_phi(phi)
     lnk = math.log(k)
@@ -186,8 +166,7 @@ def lemma6_tau(mstar: int, k: int, alpha: float, beta: float, phi: float) -> int
     is positive.
     """
     mstar = _check_int("mstar", mstar, 1)
-    beta = float(beta)
-    _check("beta", math.isfinite(beta) and beta > 0.5, "must be > 1/2")
+    beta = _check_real("beta", beta, 0.5)
     ck = lemma5_ck(k, alpha, beta)
     k = _check_k(k)
     phi = _check_phi(phi)

@@ -56,22 +56,49 @@ LOSS_RANGE_TOL = 1e-9
 _NEG_INF = float("-inf")
 
 
-def _check_eta(eta: float) -> float:
-    eta = float(eta)
-    if not math.isfinite(eta) or eta <= 0.0:
-        raise ValueError(f"learning rate eta must be positive and finite, got {eta!r}")
-    return eta
+def _as_float(x) -> float:
+    """``float(x)`` for a real ``x`` a float holds, else nan."""
+    try:
+        return float(x) if isinstance(x, Real) else math.nan
+    except OverflowError:  # an int such as 10**400
+        return math.nan
 
 
-def _check_int(name: str, x, low: int, high: float = math.inf) -> int:
+def _refused(name: str, domain: str, x, low, high, low_in: bool) -> ValueError:
+    """The error naming ``name`` and its interval; an int too long to print by its digits."""
+    try:
+        got = repr(x)
+    except ValueError:  # past the interpreter's int-to-str digit limit
+        digits = int(x.bit_length() * math.log10(2)) + 1
+        got = f"an integer of {digits - (abs(x) < 10 ** (digits - 1))} digits"
+    lo = "[" if low_in and low > -math.inf else "("
+    hi = "]" if high < math.inf else ")"
+    return ValueError(f"{name} must be {domain} {lo}{low}, {high}{hi}, got {got}")
+
+
+def _check_int(name: str, x, low: float = -math.inf, high: float = math.inf) -> int:
     """``x`` as an int, refused by ``name`` unless it is an integer in
     [low, high].  An integer type is taken exactly, never rounded through a
     float; a float only when it holds an integer."""
-    if not isinstance(x, int) and isinstance(x, Real) and float(x).is_integer():
+    if not isinstance(x, int) and _as_float(x).is_integer():
         x = int(x)  # a numpy integer or integral float; ints skip the slower ABC check
     if not (isinstance(x, int) and low <= x <= high):
-        raise ValueError(f"{name} must be an integer in [{low}, {high}], got {x!r}")
+        raise _refused(name, "an integer in", x, low, high, True)
     return int(x)
+
+
+def _check_real(name: str, x, low: float, high: float = math.inf, *, low_in=False) -> float:
+    """``x`` as a float, refused by ``name`` unless it is a finite real above
+    ``low`` (or at it, when ``low_in``) and at most ``high``.  Any other
+    real, such as an int or a numpy scalar, is taken as ``float(x)``."""
+    v = x if type(x) is float else _as_float(x)  # floats skip the slower ABC check
+    if math.isfinite(v) and (low <= v if low_in else low < v) and v <= high:
+        return v
+    raise _refused(name, "in", x, low, high, low_in)
+
+
+def _check_eta(eta: float) -> float:
+    return _check_real("learning rate eta", eta, 0)
 
 
 def _coerce_losses(values, k: int | None = None) -> list[float]:

@@ -24,14 +24,14 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .core import _check_int
+from .core import _check_int, _check_real
 from .strategies import AdaHedge, DoublingHedge, _Kind, run
 
 __all__ = [
@@ -70,7 +70,8 @@ def _mix64(x: np.ndarray) -> np.ndarray:
 def derive_seed(base_seed: int, index: int) -> int:
     """Substream seed for repetition ``index`` under ``base_seed``."""
     index = _check_int("repetition index", index, 0)
-    x = _mix64(np.array([int(base_seed) & _M64, (index + 1) * _GAMMA & _M64], dtype=np.uint64))
+    base_seed = _check_int("base_seed", base_seed) & _M64
+    x = _mix64(np.array([base_seed, (index + 1) * _GAMMA & _M64], dtype=np.uint64))
     return int(_mix64(x[:1] ^ x[1:])[0])
 
 
@@ -79,7 +80,7 @@ def unit_uniforms(seed: int, n: int) -> np.ndarray:
     n = _check_int("n", n, 0)
     x = np.arange(1, n + 1, dtype=np.uint64)
     x *= np.uint64(_GAMMA)
-    x += np.uint64(int(seed) & _M64)
+    x += np.uint64(_check_int("seed", seed) & _M64)
     return (_mix64(x) >> np.uint64(11)) * 2.0**-53
 
 
@@ -88,10 +89,7 @@ def unit_uniforms(seed: int, n: int) -> np.ndarray:
 
 
 def _check_prob(name: str, value: float) -> float:
-    value = float(value)
-    if not (0.0 <= value <= 1.0):
-        raise ValueError(f"{name} must be a probability in [0, 1], got {value!r}")
-    return value
+    return _check_real(f"probability {name}", value, 0, 1, low_in=True)
 
 
 class _Generator:
@@ -131,9 +129,8 @@ class Correlated(_Generator):
     p2: float = 0.02
 
     def __post_init__(self):
-        _check_prob("hard_prob", self.hard_prob)
-        _check_prob("p1", self.p1)
-        _check_prob("p2", self.p2)
+        for f in fields(self):
+            object.__setattr__(self, f.name, _check_prob(f.name, getattr(self, f.name)))
 
 
 @dataclass(frozen=True)
@@ -147,12 +144,12 @@ class AlternatingPair(_Generator):
     eps: float
 
     def __post_init__(self):
-        a, b, eps = float(self.a), float(self.b), float(self.eps)
-        if eps < 0.0:
-            raise ValueError(f"eps must be >= 0, got {eps!r}")
-        if not (0.0 < a - eps and b + eps < 1.0):
+        for f in fields(self):
+            x = _check_real(f.name, getattr(self, f.name), 0, low_in=True)
+            object.__setattr__(self, f.name, x)
+        if not (0.0 < self.a - self.eps and self.b + self.eps < 1.0):
             raise ValueError("need 0 < a - eps and b + eps < 1")
-        if not (b - a > 2.0 * eps):
+        if not (self.b - self.a > 2.0 * self.eps):
             raise ValueError("need b - a > 2*eps so action 1 stays ahead")
 
 
@@ -175,6 +172,7 @@ GENERATORS = {
 def generate(spec: _Generator, horizon_t: int, seed: int) -> np.ndarray:
     """Loss stream of shape (horizon_t, K) for one repetition seed."""
     t_total = _check_int("horizon_t", horizon_t, 1)
+    seed = _check_int("seed", seed)
 
     if isinstance(spec, IidBernoulli):
         k = spec.k

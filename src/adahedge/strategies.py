@@ -38,6 +38,7 @@ from .core import (
     _action_sums,
     _check_eta,
     _check_int,
+    _check_real,
     _coerce_losses,
     _map,
     block_hedge_and_mix_loss,
@@ -148,14 +149,9 @@ KINDS = {
 
 def oracle_eta(lstar: float, k: int) -> float:
     """Hindsight tuning sqrt(2 ln K / L*); 1 when the best loss is zero."""
-    lstar = float(lstar)
-    if not (math.isfinite(lstar) and lstar >= 0.0):
-        raise ValueError(f"lstar must be >= 0, got {lstar!r}")
-    if k < 2:
-        raise ValueError(f"need at least 2 actions, got {k}")
-    if lstar == 0.0:
-        return 1.0
-    return math.sqrt(2.0 * math.log(k) / lstar)
+    lstar = _check_real("lstar", lstar, 0, low_in=True)
+    k = _check_int("number of actions k", k, 2)
+    return 1.0 if lstar == 0.0 else math.sqrt(2.0 * math.log(k) / lstar)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 Each entry point keeps the exact ``int`` that ``core._check_int`` returns:
 an integer type as it is, a float only when it holds an integer.  Any
-other value raises a ``ValueError`` that names the parameter.
+other value raises a ``ValueError`` that names the parameter.  The seeds of
+``derive_seed``, ``unit_uniforms`` and ``generate`` take any integer and
+wrap it modulo 2**64.
 """
 
 import math
@@ -15,14 +17,16 @@ import adahedge.verify as verify_mod
 from adahedge import bounds
 from adahedge.core import CumulativeLoss
 from adahedge.simulation import (
+    _M64,
     ExperimentConfig,
     FtlKiller,
+    IidBernoulli,
     _resolve_threads,
     derive_seed,
     generate,
     unit_uniforms,
 )
-from adahedge.strategies import FollowTheLeader, init
+from adahedge.strategies import FollowTheLeader, init, oracle_eta
 
 
 def _config(**field):
@@ -53,6 +57,16 @@ ENTRY_POINTS = {
     "CumulativeLoss.rounds": ("rounds", lambda x: CumulativeLoss((0.0, 0.0), x).rounds, 5),
     "unit_uniforms.n": ("n", lambda x: unit_uniforms(0, x).size, 5),
     "derive_seed.index": ("repetition index", lambda x: derive_seed(0, x), derive_seed(0, 5)),
+    "derive_seed.base_seed": ("base_seed", lambda x: derive_seed(x, 0), derive_seed(5, 0)),
+    "unit_uniforms.seed": (
+        "seed", lambda x: unit_uniforms(x, 3).tolist(), unit_uniforms(5, 3).tolist(),
+    ),
+    "generate.seed": (
+        "seed",
+        lambda x: generate(IidBernoulli((0.5, 0.5)), 4, x).tolist(),
+        generate(IidBernoulli((0.5, 0.5)), 4, 5).tolist(),
+    ),
+    "oracle_eta.k": ("number of actions k", lambda x: oracle_eta(4.0, x), oracle_eta(4.0, 5)),
     "threads": ("threads", _resolve_threads, min(5, os.cpu_count() or 1)),
     "run_suite.seed": ("seed", _suite_seed, derive_seed(5, 1000)),
     "bounds.k": ("k", lambda x: bounds.budget(1.0, x), bounds.budget(1.0, 5)),
@@ -104,3 +118,32 @@ def test_run_suite_refuses_seed_before_any_property(seed, probed):
     with pytest.raises(ValueError, match=r"^seed must be an integer in \[0, 18446744073709551615\]"):
         verify_mod.run_suite(full=True, seed=seed)
     assert probed == []
+
+
+#: Seeds, which take any integer and wrap it modulo 2**64.
+WRAPPING = ("derive_seed.base_seed", "unit_uniforms.seed", "generate.seed")
+#: Entries whose interval has a finite top.
+BOUNDED_ABOVE = ("config.base_seed", "run_suite.seed")
+
+
+@pytest.mark.parametrize(
+    "entry,value",
+    [(e, -(10**5000)) for e in sorted(ENTRY_POINTS) if e not in WRAPPING]
+    + [(e, 10**5000) for e in BOUNDED_ABOVE],
+    ids=lambda v: ("-10**5000" if v < 0 else "10**5000") if isinstance(v, int) else v,
+)
+def test_integer_too_long_to_print_is_refused_by_name(entry, value, probed):
+    """An int past the interpreter's int-to-str digit limit is refused by
+    its number of digits, not by the limit's own error."""
+    name, call, _ = ENTRY_POINTS[entry]
+    message = rf"^{name} must be an integer in .*, got an integer of 5001 digits$"
+    with pytest.raises(ValueError, match=message):
+        call(value)
+    assert probed == []
+
+
+@pytest.mark.parametrize("value", [-(10**5000), 10**5000], ids=["-10**5000", "10**5000"])
+@pytest.mark.parametrize("entry", WRAPPING)
+def test_seed_too_long_to_print_wraps(entry, value):
+    _, call, _ = ENTRY_POINTS[entry]
+    assert call(value) == call(value & _M64)

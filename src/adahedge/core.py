@@ -64,16 +64,20 @@ def _as_float(x) -> float:
         return math.nan
 
 
-def _refused(name: str, domain: str, x, low, high, low_in: bool) -> ValueError:
-    """The error naming ``name`` and its interval; an int too long to print by its digits."""
+def _shown(x) -> str:
+    """``repr(x)``; an int too long to print by its digit count."""
     try:
-        got = repr(x)
+        return repr(x)
     except ValueError:  # past the interpreter's int-to-str digit limit
         digits = int(x.bit_length() * math.log10(2)) + 1
-        got = f"an integer of {digits - (abs(x) < 10 ** (digits - 1))} digits"
+        return f"an integer of {digits - (abs(x) < 10 ** (digits - 1))} digits"
+
+
+def _refused(name: str, domain: str, x, low, high, low_in: bool) -> ValueError:
+    """The error naming ``name`` and its interval."""
     lo = "[" if low_in and low > -math.inf else "("
     hi = "]" if high < math.inf else ")"
-    return ValueError(f"{name} must be {domain} {lo}{low}, {high}{hi}, got {got}")
+    return ValueError(f"{name} must be {domain} {lo}{low}, {high}{hi}, got {_shown(x)}")
 
 
 def _check_int(name: str, x, low: float = -math.inf, high: float = math.inf) -> int:
@@ -101,9 +105,24 @@ def _check_eta(eta: float) -> float:
     return _check_real("learning rate eta", eta, 0)
 
 
+def _as_element(name: str, v) -> float:
+    """``float(v)``, refused by ``name`` unless ``v`` is a real number a float
+    holds (not a str, ``None`` or ``10**400``).  A nan is kept, for the
+    caller's range check to refuse."""
+    f = _as_float(v)
+    if f != f and not (isinstance(v, Real) and v != v):
+        raise ValueError(f"{name} must be a real number in float range, got {_shown(v)}")
+    return f
+
+
+def _as_floats(name: str, values) -> list[float]:
+    # floats skip the element check; observe() runs this every round
+    return [v if type(v) is float else _as_element(name, v) for v in values]
+
+
 def _coerce_losses(values, k: int | None = None) -> list[float]:
     """Validate one round of losses and return them as a plain float list."""
-    out = [float(v) for v in values]
+    out = _as_floats("loss", values)
     if len(out) < 2:
         raise ValueError(f"need at least 2 actions, got {len(out)}")
     if k is not None and len(out) != k:
@@ -119,7 +138,7 @@ def _coerce_losses(values, k: int | None = None) -> list[float]:
 def _coerce_weights(values) -> list[float]:
     if isinstance(values, WeightSnapshot):
         return list(values.weights)
-    out = [float(v) for v in values]
+    out = _as_floats("weight", values)
     if len(out) < 2:
         raise ValueError(f"need at least 2 actions, got {len(out)}")
     for v in out:
@@ -138,7 +157,7 @@ class CumulativeLoss:
     rounds: int
 
     def __init__(self, totals: Iterable[float], rounds: int):
-        totals = tuple(float(v) for v in totals)
+        totals = tuple(_as_floats("total", totals))
         rounds = _check_int("rounds", rounds, 0)
         if len(totals) < 2:
             raise ValueError(f"need at least 2 actions, got {len(totals)}")
@@ -167,7 +186,7 @@ class WeightSnapshot:
     log_weights: tuple[float, ...]
 
     def __init__(self, log_weights: Iterable[float]):
-        lw = tuple(float(v) for v in log_weights)
+        lw = tuple(_as_floats("log weight", log_weights))
         if len(lw) < 2:
             raise ValueError(f"need at least 2 actions, got {len(lw)}")
         for v in lw:
@@ -180,7 +199,7 @@ class WeightSnapshot:
 
     @classmethod
     def from_weights(cls, weights: Iterable[float]) -> "WeightSnapshot":
-        ws = [float(v) for v in weights]
+        ws = _as_floats("weight", weights)
         if len(ws) < 2:
             raise ValueError(f"need at least 2 actions, got {len(ws)}")
         total = math.fsum(ws)

@@ -26,6 +26,7 @@ and the restart itself is the state's own schedule step.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -181,7 +182,7 @@ class Strategy:
         if not isinstance(kind, tuple(KINDS.values())):
             raise TypeError(f"unknown strategy kind {kind!r}")
         self.kind = kind
-        self.k = k = _check_int("number of actions k", k, 2)
+        self.k = k = _check_int("number of actions k", k, 2, sys.maxsize)
         self._totals = [0.0] * k
         self._seg_totals = [0.0] * k
         self._rounds = 0
@@ -295,9 +296,10 @@ init = Strategy
 def as_loss_array(losses) -> np.ndarray:
     """Coerce a loss stream to a (T, K) float array and validate it."""
     # an ndarray is kept as it is (no copy); any other iterable is read as rows
-    arr = np.asarray(
-        losses if isinstance(losses, np.ndarray) else list(losses), dtype=np.float64
-    )
+    arr = np.asarray(losses if isinstance(losses, np.ndarray) else list(losses))
+    if arr.dtype.kind not in "biuf":  # strings, objects and complex are not losses
+        raise ValueError(f"loss stream must hold real numbers, got dtype {arr.dtype}")
+    arr = arr.astype(np.float64, copy=False)
     if arr.ndim != 2:
         raise ValueError(f"loss stream must be 2-d (rounds x actions), got shape {arr.shape}")
     t_total, k = arr.shape

@@ -1,10 +1,11 @@
 """Executable property checks tying the library to its stated guarantees.
 
-The stream properties read ``strategies.run`` traces, so the guarantees are
-checked on the kernel that produces results.  The per-round properties feed
-arbitrary weights to the typed operations: the two gap properties to
-``mixability_gap``, and the chain rule also to ``posterior_update`` and
-``mix_loss``.
+The stream properties read ``strategies.run`` traces, and the two gap
+properties evaluate their sampled rounds with ``block_hedge_and_mix_loss``,
+so the guarantees are checked on the kernels that produce results.  The
+typed operations are checked on arbitrary weights too: hand-built Lemma 4
+corner rounds go through ``mixability_gap``, and the chain rule's sampled
+priors through ``posterior_update`` and ``mix_loss``.
 
 Each property draws its randomness from a sub-stream of one suite seed, so
 any failure is replayable by passing the same ``--seed`` to the ``verify``
@@ -28,6 +29,8 @@ from .core import (
     CumulativeLoss,
     WeightSnapshot,
     _check_int,
+    _map,
+    block_hedge_and_mix_loss,
     log_marginal_likelihood,
     mix_loss,
     mixability_gap,
@@ -67,25 +70,42 @@ class PropertyResult:
     detail: str
 
 
-def _sample_rounds(seed: int, count: int, eta_hi: float):
-    """``count`` random (weights, losses, eta) rounds with K cycling 2..8.
+def _sample_blocks(seed: int, count: int, eta_hi: float):
+    """``count`` random rounds, one (weights, losses, etas) block per K = 2..8.
 
-    Weights are normalised exponentials (a simplex point), losses uniform in
-    [0, 1) and eta uniform in (0, eta_hi].
+    A row is a round: weights are normalised exponentials (a simplex point),
+    losses uniform in [0, 1) and eta uniform in (0, eta_hi].
     """
     ks = list(range(2, 9))
     per = [count // len(ks)] * len(ks)
     per[0] += count - sum(per)
-    out = []
     for j, (k, m) in enumerate(zip(ks, per)):
         u = unit_uniforms(derive_seed(seed, j), m * (2 * k + 1)).reshape(m, 2 * k + 1)
         raw = -np.log1p(-u[:, :k])
-        w = raw / raw.sum(axis=1, keepdims=True)
-        losses = u[:, k : 2 * k]
-        etas = eta_hi * (1.0 - u[:, 2 * k])
-        for i in range(m):
-            out.append((w[i].tolist(), losses[i].tolist(), float(etas[i])))
-    return out
+        yield raw / raw.sum(axis=1, keepdims=True), u[:, k : 2 * k], eta_hi * (1.0 - u[:, 2 * k])
+
+
+def _sample_rounds(seed: int, count: int, eta_hi: float):
+    """The rounds of ``_sample_blocks`` as (weights, losses, eta) lists."""
+    return [
+        round_
+        for ws, losses, etas in _sample_blocks(seed, count, eta_hi)
+        for round_ in zip(ws.tolist(), losses.tolist(), etas.tolist())
+    ]
+
+
+def _block_gaps(ws: np.ndarray, losses: np.ndarray, etas: np.ndarray):
+    """Per row of a block: the gap and largest weight that
+    ``mixability_gap(WeightSnapshot.from_weights(w), l, eta)`` gives, bit for
+    bit, from one kernel call.  The weights are normalised as ``from_weights``
+    does (an exact sum, a zero weight to -inf) and read back through ``exp``."""
+    totals = np.array([math.fsum(row) for row in ws.tolist()])
+    lw = np.full(ws.shape, -math.inf)
+    live = ws > 0.0
+    lw[live] = _map(math.log, (ws / totals[:, None])[live])
+    w = _map(math.exp, lw)
+    hedge, mix = block_hedge_and_mix_loss(w.T, losses.T, etas, lw.T)
+    return hedge - mix, w.max(axis=1)
 
 
 def _uniform_stream(seed: int, t: int, k: int) -> np.ndarray:
@@ -108,14 +128,24 @@ def _antithetic_stream(seed: int, t: int, k: int) -> np.ndarray:
     return out
 
 
+# corner rounds where the Lemma 4 bound is nearly tight: the heavy action
+# loses this round; the gap approaches (e-2)*eta*q as the light weight q -> 0
+LEMMA4_CORNERS = tuple(
+    ((1.0 - q, q), (1.0, 0.0), eta)
+    for q in (0.5, 0.1, 0.01, 0.001)
+    for eta in (1.0, 0.999, 0.9, 0.75, 0.5, 0.25)
+)
+
+
 def _check_gap_range(seed: int, count: int) -> tuple[bool, str]:
     """Per-round gap stays in [0, eta/8] over random rounds, eta up to 4."""
-    low = math.inf
-    excess = -math.inf
-    for w, l, eta in _sample_rounds(seed, count, 4.0):
-        rep = mixability_gap(WeightSnapshot.from_weights(w), l, eta)
-        low = min(low, rep.delta)
-        excess = max(excess, rep.delta - eta / 8.0)
+    blocks = list(_sample_blocks(seed, count, 4.0))
+    gaps = np.concatenate([_block_gaps(*block)[0] for block in blocks])
+    etas = np.concatenate([block[2] for block in blocks])
+    low = float(gaps.min())
+    excess = float((gaps - etas / 8.0).max())
+    for w, l, eta in LEMMA4_CORNERS:  # the typed op refuses a gap out of range
+        mixability_gap(WeightSnapshot.from_weights(w), l, eta)
     ok = low >= -PER_OP_TOL and excess <= PER_OP_TOL
     detail = f"{count} samples, min gap {low:.3g}, max gap excess {excess:.3g}"
     return ok, detail
@@ -123,22 +153,19 @@ def _check_gap_range(seed: int, count: int) -> tuple[bool, str]:
 
 def _check_gap_posterior(seed: int, count: int) -> tuple[bool, str]:
     """Gap bounded by (e-2)*eta*(1 - max weight) whenever eta <= 1."""
-    samples = _sample_rounds(seed, count, 1.0)
-    # corner where the bound is nearly tight: the heavy action loses this
-    # round; the gap approaches (e-2)*eta*q as the light weight q -> 0
-    for q in (0.5, 0.1, 0.01, 0.001):
-        for eta in (1.0, 0.999, 0.9, 0.75, 0.5, 0.25):
-            samples.append(([1.0 - q, q], [1.0, 0.0], eta))
-    excess = -math.inf
-    where = -1
-    for i, (w, l, eta) in enumerate(samples):
+    overs = []
+    for ws, losses, etas in _sample_blocks(seed, count, 1.0):
+        gaps, tops = _block_gaps(ws, losses, etas)
+        for gap, eta, top in zip(gaps.tolist(), etas.tolist(), tops.tolist()):
+            overs.append(gap - bounds.lemma4_bound(eta, top))
+    for w, l, eta in LEMMA4_CORNERS:
         snap = WeightSnapshot.from_weights(w)
         rep = mixability_gap(snap, l, eta)
-        over = rep.delta - bounds.lemma4_bound(eta, max(snap.weights))
-        if over > excess:
-            excess, where = over, i
+        overs.append(rep.delta - bounds.lemma4_bound(eta, max(snap.weights)))
+    where = int(np.argmax(overs))  # the first maximum, or the first nan
+    excess = overs[where]
     ok = excess <= PER_OP_TOL
-    detail = f"{len(samples)} samples, max bound excess {excess:.3g} (sample {where})"
+    detail = f"{len(overs)} samples, max bound excess {excess:.3g} (sample {where})"
     return ok, detail
 
 

@@ -9,6 +9,7 @@ wrap it modulo 2**64.
 
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -147,3 +148,11 @@ def test_integer_too_long_to_print_is_refused_by_name(entry, value, probed):
 def test_seed_too_long_to_print_wraps(entry, value):
     _, call, _ = ENTRY_POINTS[entry]
     assert call(value) == call(value & _M64)
+
+
+def test_strategy_k_past_an_index_is_refused_by_name():
+    """A k no list can be indexed by is refused before any allocation
+    (only 2**63 is tried: a k that fits an index would be allocated)."""
+    message = rf"^number of actions k must be an integer in \[2, {sys.maxsize}\], got {2**63}$"
+    with pytest.raises(ValueError, match=message):
+        init(FollowTheLeader(), 2**63)

@@ -13,9 +13,15 @@ import numpy as np
 import pytest
 
 from adahedge import bounds
-from adahedge.core import mixability_gap
+from adahedge.core import (
+    CumulativeLoss,
+    WeightSnapshot,
+    mix_loss,
+    mixability_gap,
+    posterior_update,
+)
 from adahedge.simulation import AlternatingPair, Correlated, IidBernoulli
-from adahedge.strategies import AdaHedge, FixedHedge, oracle_eta
+from adahedge.strategies import AdaHedge, FixedHedge, init, oracle_eta, run
 
 # (parameter name as the error states it, entry point, a value inside the
 # interval that a float32 holds, an int inside it or None where the interval
@@ -126,3 +132,85 @@ def test_real_is_taken_as_its_float(entry, kind):
     got, want = call(value), call(float(value))
     assert got == want and type(got) is type(want)
 
+
+
+# Per-element losses and weights: each element must be a real number a
+# float holds; an entry point names the element kind it refuses.
+# (element kind as the error states it, entry point taking one element, a
+# whole value the entry point takes there)
+ELEMENTS = {
+    "mix_loss.loss": ("loss", lambda x: mix_loss([0.5, 0.5], [x, 1.0], 0.5), 1),
+    "mix_loss.weight": ("weight", lambda x: mix_loss([x, 0.0], [0.0, 1.0], 0.5), 1),
+    "posterior_update.weight": (
+        "weight", lambda x: posterior_update([0.0, x], [0.0, 1.0], 0.5).weights, 1,
+    ),
+    "CumulativeLoss.total": ("total", lambda x: CumulativeLoss((x, 1.0), 3).totals, 1),
+    "WeightSnapshot.log_weight": (
+        "log weight", lambda x: WeightSnapshot((x, -math.inf)).log_weights, 0,
+    ),
+    "from_weights.weight": (
+        "weight", lambda x: WeightSnapshot.from_weights([x, 1.0]).weights, 1,
+    ),
+    "observe.loss": (
+        "loss", lambda x: init(FixedHedge(0.5), 2).observe([x, 1.0]).cum.totals, 1,
+    ),
+}
+
+NOT_AN_ELEMENT = [
+    ("0.5", "'0.5'"),
+    (None, "None"),
+    (10**400, "1" + "0" * 400),
+    (10**5000, "an integer of 5001 digits"),
+]
+
+
+@pytest.mark.parametrize(
+    "value,shown", NOT_AN_ELEMENT, ids=["str", "None", "10**400", "10**5000"]
+)
+@pytest.mark.parametrize("entry", sorted(ELEMENTS))
+def test_non_real_element_is_refused_by_name(entry, value, shown):
+    name, call, _ = ELEMENTS[entry]
+    message = rf"^{re.escape(name)} must be a real number in float range, got {re.escape(shown)}$"
+    with pytest.raises(ValueError, match=message):
+        call(value)
+
+
+@pytest.mark.parametrize("entry", sorted(ELEMENTS))
+def test_nan_element_meets_the_range_check(entry):
+    """A nan is a real number: it passes the element rule and is refused by
+    the entry point's own range check."""
+    _, call, _ = ELEMENTS[entry]
+    with pytest.raises(ValueError) as caught:
+        call(math.nan)
+    assert "real number" not in str(caught.value)
+
+
+@pytest.mark.parametrize("kind", [int, bool, np.int64, np.float32, np.float64])
+@pytest.mark.parametrize("entry", sorted(ELEMENTS))
+def test_real_element_is_taken_as_its_float(entry, kind):
+    _, call, whole = ELEMENTS[entry]
+    assert call(kind(whole)) == call(float(whole))
+
+
+@pytest.mark.parametrize(
+    "stream,dtype",
+    [
+        ([["0", "1"], ["1", "0"]], "<U1"),
+        ([[None, 1.0], [1.0, 0.0]], "object"),
+        ([[10**400, 0.0]], "object"),
+        (np.array([[0.5 + 0j, 0.5]]), "complex128"),
+        (np.array([[b"0", b"1"]]), "|S1"),
+    ],
+    ids=["str", "None", "10**400", "complex", "bytes"],
+)
+def test_loss_stream_of_non_reals_is_refused(stream, dtype):
+    message = rf"^loss stream must hold real numbers, got dtype {re.escape(dtype)}$"
+    with pytest.raises(ValueError, match=message):
+        run(FixedHedge(0.5), stream)
+
+
+def test_loss_stream_of_ints_and_bools_runs_as_floats():
+    want = run(FixedHedge(0.5), [[0.0, 1.0], [1.0, 0.0]])
+    for stream in ([[0, 1], [1, 0]], np.array([[False, True], [True, False]])):
+        got = run(FixedHedge(0.5), stream)
+        assert got.cum_gap.tolist() == want.cum_gap.tolist()

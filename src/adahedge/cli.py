@@ -35,6 +35,7 @@ class ConfigError(Exception):
 _STRATEGIES = {**KINDS, "follow_the_leader": FollowTheLeader}
 # config keys: the experiment's own fields, then each generator's fields
 _TOP_KEYS = {f.name for f in fields(ExperimentConfig)}
+_INT_KEYS = [f.name for f in fields(ExperimentConfig) if f.type == "int"]
 _ALL_KEYS = _TOP_KEYS | {f.name for cls in GENERATORS.values() for f in fields(cls)}
 
 
@@ -188,43 +189,23 @@ def parse_config(text: str, path="<config>") -> ExperimentConfig:
     except ValueError as exc:  # generator invariant violations
         raise ConfigError(path, gen_line, str(exc))
 
-    raw, line_no = need("horizon_t")
-    horizon_t = _parse_int(raw, "horizon_t", path, line_no)
-    if horizon_t < 1:
-        raise ConfigError(path, line_no, f"horizon_t must be >= 1, got {horizon_t}")
-
-    raw, line_no = need("repetitions")
-    repetitions = _parse_int(raw, "repetitions", path, line_no)
-    if repetitions < 1:
-        raise ConfigError(path, line_no, f"repetitions must be >= 1, got {repetitions}")
-
-    raw, line_no = need("base_seed")
-    base_seed = _parse_int(raw, "base_seed", path, line_no)
-    if not (0 <= base_seed < 2**64):
-        raise ConfigError(path, line_no, "base_seed must be an unsigned 64-bit integer")
-
+    counts = {}
+    for key in _INT_KEYS:
+        raw, line_no = need(key)
+        counts[key] = _parse_int(raw, key, path, line_no)
     raw, line_no = need("strategies")
     kinds = [
         _parse_strategy(entry, path, line_no)
         for entry in _split_outside_parens(raw, path, line_no)
     ]
-    if not kinds:
-        raise ConfigError(path, line_no, "strategies list is empty")
-    slugs = [kind.slug for kind in kinds]
-    if len(set(slugs)) != len(slugs):
-        raise ConfigError(path, line_no, f"duplicate strategies: {slugs}")
-
-    raw, line_no = need("output_dir")
-    if "\0" in raw:
-        raise ConfigError(path, line_no, "output_dir contains a NUL byte")
-    return ExperimentConfig(
-        generator=generator,
-        horizon_t=horizon_t,
-        repetitions=repetitions,
-        strategies=tuple(kinds),
-        base_seed=base_seed,
-        output_dir=Path(raw),
-    )
+    raw, _ = need("output_dir")
+    try:
+        return ExperimentConfig(generator=generator, strategies=kinds, output_dir=raw, **counts)
+    except ValueError as exc:  # the config's own value rules
+        # each names its key first; the roster's two name none
+        message = str(exc)
+        key = message.split()[0]
+        raise ConfigError(path, entries.get(key, entries["strategies"])[1], message)
 
 
 def _describe_generator(generator) -> str:

@@ -116,6 +116,10 @@ def _as_element(name: str, v) -> float:
 
 
 def _as_floats(name: str, values) -> list[float]:
+    try:
+        values = iter(values)
+    except TypeError:
+        raise ValueError(f"{name} values must be a sequence, got {_shown(values)}") from None
     # floats skip the element check; observe() runs this every round
     return [v if type(v) is float else _as_element(name, v) for v in values]
 

@@ -238,6 +238,8 @@ class ExperimentConfig:
             raise ValueError(f"duplicate strategies in roster: {slugs}")
         if self.output_dir is not None:
             object.__setattr__(self, "output_dir", Path(self.output_dir))
+            if "\0" in str(self.output_dir):
+                raise ValueError("output_dir contains a NUL byte")
 
     @property
     def k(self) -> int:

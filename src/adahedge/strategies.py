@@ -296,7 +296,12 @@ init = Strategy
 def as_loss_array(losses) -> np.ndarray:
     """Coerce a loss stream to a (T, K) float array and validate it."""
     # an ndarray is kept as it is (no copy); any other iterable is read as rows
-    arr = np.asarray(losses if isinstance(losses, np.ndarray) else list(losses))
+    try:
+        arr = np.asarray(losses if isinstance(losses, np.ndarray) else list(losses))
+    except (TypeError, ValueError):  # not iterable, or ragged rows
+        raise ValueError(
+            f"loss stream must be a sequence of equal-length rows, got {type(losses).__name__}"
+        ) from None
     if arr.dtype.kind not in "biuf":  # strings, objects and complex are not losses
         raise ValueError(f"loss stream must hold real numbers, got dtype {arr.dtype}")
     arr = arr.astype(np.float64, copy=False)

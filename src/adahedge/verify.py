@@ -45,6 +45,7 @@ from .simulation import (
     Correlated,
     ExperimentConfig,
     FtlKiller,
+    _M64,
     derive_seed,
     generate,
     run_experiment,
@@ -403,7 +404,7 @@ def run_suite(*, full: bool = False, seed: int = DEFAULT_SEED):
     correlated-losses experiment for the informational segment report.
     ``seed`` must be in [0, 2**64); any other is refused before a property runs.
     """
-    seed = _check_int("seed", seed, 0, 2**64 - 1)
+    seed = _check_int("seed", seed, 0, _M64)
     results = []
     for i, (name, check, quick_args, full_args) in enumerate(_CHECKS):
         try:

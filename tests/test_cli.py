@@ -11,7 +11,7 @@ import subprocess
 import sys
 import time
 import xml.etree.ElementTree as ET
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -168,7 +168,9 @@ class TestParseConfig:
 
     def test_bad_horizon_value(self):
         text = VALID.format(out="x").replace("horizon_t = 40", "horizon_t = 0")
-        with pytest.raises(ConfigError, match="horizon_t must be >= 1"):
+        with pytest.raises(
+            ConfigError, match=r"^cfg:4: horizon_t must be an integer in \[1, inf\), got 0$"
+        ):
             parse_config(text, "cfg")
 
     @pytest.mark.parametrize(
@@ -248,14 +250,20 @@ output_dir = out
                 2,
                 "generator 'alternating_pair' requires key 'eps'",
             ),
-            ("repetitions = 3", "repetitions = 0", 5, "repetitions must be >= 1, got 0"),
+            (
+                "repetitions = 3",
+                "repetitions = 0",
+                5,
+                "repetitions must be an integer in [1, inf), got 0",
+            ),
             (
                 "base_seed = 11",
                 "base_seed = 18446744073709551616",
                 7,
-                "base_seed must be an unsigned 64-bit integer",
+                "base_seed must be an integer in [0, 18446744073709551615], "
+                "got 18446744073709551616",
             ),
-            ("ftl, adahedge(phi=2), fixed_hedge(eta=0.5)", ",", 6, "strategies list is empty"),
+            ("ftl, adahedge(phi=2), fixed_hedge(eta=0.5)", ",", 6, "need at least one strategy"),
         ],
     )
     def test_refusal_names_its_line(self, old, new, line, message):
@@ -412,6 +420,45 @@ class TestRunCommand:
         path = self.write(tmp_path, VALID.format(out=tmp_path / "a\0b"))
         assert main(["run", str(path), *(["--dry-run"] if dry_run else [])]) == 2
         assert f"{path}:8: output_dir contains a NUL byte" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dry_run", [True, False])
+    @pytest.mark.parametrize(
+        "old,new,line,field,value",
+        [
+            ("horizon_t = 40", "horizon_t = 0", 4, "horizon_t", 0),
+            ("repetitions = 3", "repetitions = 0", 5, "repetitions", 0),
+            ("base_seed = 11", "base_seed = -1", 7, "base_seed", -1),
+            ("base_seed = 11", f"base_seed = {2**64}", 7, "base_seed", 2**64),
+            ("ftl, adahedge(phi=2), fixed_hedge(eta=0.5)", ",", 6, "strategies", ()),
+            (
+                "ftl,",
+                "adahedge(phi=2),",
+                6,
+                "strategies",
+                (AdaHedge(phi=2), AdaHedge(phi=2), FixedHedge(eta=0.5)),
+            ),
+            ("output_dir = x", "output_dir = a\0b", 8, "output_dir", "a\0b"),
+        ],
+        ids=[
+            "horizon_t-0",
+            "repetitions-0",
+            "base_seed-negative",
+            "base_seed-2**64",
+            "empty-roster",
+            "duplicate-roster",
+            "nul-output_dir",
+        ],
+    )
+    def test_config_refusal_is_the_api_refusal(
+        self, tmp_path, capsys, dry_run, old, new, line, field, value
+    ):
+        """ExperimentConfig owns these rules; the CLI adds only the line."""
+        text = VALID.format(out="x")
+        with pytest.raises(ValueError) as api:
+            replace(parse_config(text), **{field: value})
+        path = self.write(tmp_path, text.replace(old, new))
+        assert main(["run", str(path), *(["--dry-run"] if dry_run else [])]) == 2
+        assert capsys.readouterr().err == f"error: {path}:{line}: {api.value}\n"
 
     def test_dry_run_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "never"

@@ -214,3 +214,35 @@ def test_loss_stream_of_ints_and_bools_runs_as_floats():
     for stream in ([[0, 1], [1, 0]], np.array([[False, True], [True, False]])):
         got = run(FixedHedge(0.5), stream)
         assert got.cum_gap.tolist() == want.cum_gap.tolist()
+
+
+# entry point -> (element name as the error states it, a call taking the
+# whole vector)
+VECTORS = {
+    "mix_loss.losses": ("loss", lambda v: mix_loss([0.5, 0.5], v, 1.0)),
+    "mix_loss.weights": ("weight", lambda v: mix_loss(v, [0.0, 1.0], 1.0)),
+    "posterior_update.weights": ("weight", lambda v: posterior_update(v, [0.0, 1.0], 0.5)),
+    "CumulativeLoss.totals": ("total", lambda v: CumulativeLoss(v, 1)),
+    "WeightSnapshot.log_weights": ("log weight", lambda v: WeightSnapshot(v)),
+    "from_weights.weights": ("weight", lambda v: WeightSnapshot.from_weights(v)),
+    "observe.losses": ("loss", lambda v: init(AdaHedge(), 2).observe(v)),
+}
+
+
+@pytest.mark.parametrize("value,shown", [(5, "5"), (None, "None")], ids=["int", "None"])
+@pytest.mark.parametrize("entry", sorted(VECTORS))
+def test_non_sequence_is_refused_by_its_element_name(entry, value, shown):
+    name, call = VECTORS[entry]
+    with pytest.raises(ValueError, match=rf"^{name} values must be a sequence, got {shown}$"):
+        call(value)
+
+
+@pytest.mark.parametrize(
+    "stream,shown",
+    [(5, "int"), (None, "NoneType"), ([[0, 1], [1]], "list"), ([[0, 1], 1], "list")],
+    ids=["int", "None", "ragged", "row-and-scalar"],
+)
+def test_loss_stream_that_is_not_rows_is_refused(stream, shown):
+    message = rf"^loss stream must be a sequence of equal-length rows, got {shown}$"
+    with pytest.raises(ValueError, match=message):
+        run(FixedHedge(0.5), stream)

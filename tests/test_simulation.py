@@ -201,6 +201,11 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="base_seed"):
             self.small(base_seed=1 << 64)
 
+    def test_rejects_nul_byte_in_output_dir(self):
+        """Refused at construction, before anything is simulated."""
+        with pytest.raises(ValueError, match="^output_dir contains a NUL byte$"):
+            self.small(output_dir="a\0b")
+
     def test_rejects_generator_that_is_not_a_spec(self):
         with pytest.raises(TypeError, match="generator"):
             self.small(generator="iid")

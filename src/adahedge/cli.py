@@ -390,7 +390,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_BOUND_FLAGS = {f"--{flag}" for _, flags in _BOUNDS.values() for flag in flags}
+
+
+def _joined_bound_flags(argv: list[str]) -> list[str]:
+    """``--flag value`` as ``--flag=value``: argparse takes a separate
+    ``-1e300`` or ``-inf`` for an option, so joined, every value reaches its
+    parameter's own rule."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in _BOUND_FLAGS and not arg.startswith("--"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["bounds"]:
+        argv = _joined_bound_flags(argv)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -25,6 +25,8 @@ a loss may stray outside [0, 1] before it is rejected (never clamped).
 from __future__ import annotations
 
 import math
+import sys
+from collections.abc import Mapping, Set
 from dataclasses import dataclass
 from numbers import Real
 from typing import Iterable, Sequence
@@ -116,19 +118,25 @@ def _as_element(name: str, v) -> float:
 
 
 def _as_floats(name: str, values) -> list[float]:
+    """``values``, one per action, as a list of at least two floats; refused
+    by ``name`` unless they come in order (a set has none, and a mapping
+    would give its keys)."""
     try:
+        if isinstance(values, (Set, Mapping)):
+            raise TypeError
         values = iter(values)
     except TypeError:
         raise ValueError(f"{name} values must be a sequence, got {_shown(values)}") from None
     # floats skip the element check; observe() runs this every round
-    return [v if type(v) is float else _as_element(name, v) for v in values]
+    out = [v if type(v) is float else _as_element(name, v) for v in values]
+    if len(out) < 2:
+        raise ValueError(f"{name} values must cover at least 2 actions, got {len(out)}")
+    return out
 
 
 def _coerce_losses(values, k: int | None = None) -> list[float]:
     """Validate one round of losses and return them as a plain float list."""
     out = _as_floats("loss", values)
-    if len(out) < 2:
-        raise ValueError(f"need at least 2 actions, got {len(out)}")
     if k is not None and len(out) != k:
         raise ValueError(f"expected {k} losses, got {len(out)}")
     lo, hi = -LOSS_RANGE_TOL, 1.0 + LOSS_RANGE_TOL
@@ -143,8 +151,6 @@ def _coerce_weights(values) -> list[float]:
     if isinstance(values, WeightSnapshot):
         return list(values.weights)
     out = _as_floats("weight", values)
-    if len(out) < 2:
-        raise ValueError(f"need at least 2 actions, got {len(out)}")
     for v in out:
         if not (0.0 <= v <= 1.0 + PER_OP_TOL):
             raise ValueError(f"weight {v!r} is not a probability")
@@ -162,9 +168,7 @@ class CumulativeLoss:
 
     def __init__(self, totals: Iterable[float], rounds: int):
         totals = tuple(_as_floats("total", totals))
-        rounds = _check_int("rounds", rounds, 0)
-        if len(totals) < 2:
-            raise ValueError(f"need at least 2 actions, got {len(totals)}")
+        rounds = _check_int("rounds", rounds, 0, sys.maxsize)
         hi = rounds + (rounds + 1) * LOSS_RANGE_TOL
         for v in totals:
             if not (-LOSS_RANGE_TOL * (rounds + 1) <= v <= hi):
@@ -191,12 +195,13 @@ class WeightSnapshot:
 
     def __init__(self, log_weights: Iterable[float]):
         lw = tuple(_as_floats("log weight", log_weights))
-        if len(lw) < 2:
-            raise ValueError(f"need at least 2 actions, got {len(lw)}")
         for v in lw:
             if math.isnan(v) or v == math.inf:
                 raise ValueError(f"log weight {v!r} is not allowed")
-        total = math.fsum(math.exp(v) for v in lw)
+        try:
+            total = math.fsum(math.exp(v) for v in lw)
+        except OverflowError:  # a log weight past ~709
+            total = math.inf
         if abs(total - 1.0) > PER_OP_TOL:
             raise ValueError(f"weights sum to {total!r}, not 1 within {PER_OP_TOL}")
         object.__setattr__(self, "log_weights", lw)
@@ -204,14 +209,17 @@ class WeightSnapshot:
     @classmethod
     def from_weights(cls, weights: Iterable[float]) -> "WeightSnapshot":
         ws = _as_floats("weight", weights)
-        if len(ws) < 2:
-            raise ValueError(f"need at least 2 actions, got {len(ws)}")
-        total = math.fsum(ws)
-        if not math.isfinite(total) or total <= 0.0 or any(v < 0.0 for v in ws):
-            raise ValueError("weights must be nonnegative with a positive sum")
-        return cls(
-            tuple(math.log(v / total) if v > 0.0 else _NEG_INF for v in ws)
-        )
+        total = math.nan
+        if all(0.0 <= v < math.inf for v in ws):  # nan fails too
+            try:
+                total = math.fsum(ws)
+            except OverflowError:  # finite weights whose sum is not
+                total = math.inf
+        if not 0.0 < total < math.inf:
+            raise ValueError("weights must be nonnegative with a positive finite sum")
+        # a share that underflows to 0.0 is a zero weight
+        shares = [v / total for v in ws]
+        return cls(tuple(math.log(q) if q > 0.0 else _NEG_INF for q in shares))
 
     @property
     def weights(self) -> tuple[float, ...]:

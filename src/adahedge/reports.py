@@ -40,13 +40,39 @@ _PALETTE = [
 
 # rows as the csv module writes them: comma-separated and \r\n-terminated
 _SIG = "%.9g"
-_TRACE_ROW = f"%d,{_SIG},{_SIG},{_SIG},%d\r\n"
 _SUMMARY_ROW = f"%s,{_SIG},{_SIG},%s,%s,%s\r\n"
 
 
 def format_sig(x: float) -> str:
     """Nine significant digits; inf/nan print as inf/nan."""
     return _SIG % float(x)
+
+
+# Trace cells with their separators, left-justified to the widest text the
+# column's dtype can print: %.9g of a float64 is at most 16 characters
+# (-1.23456789e-100) and %d of an int64 at most 20 (-9223372036854775808).
+# Neither format prints a space, so stripping the padding leaves the csv
+# module's bytes.
+_TRACE_CELLS = [
+    ("%-20d,", np.int64),
+    ("%-16.9g,", np.float64),
+    ("%-16.9g,", np.float64),
+    ("%-16.9g,", np.float64),
+    ("%-20d\r\n", np.int64),
+]
+_BLOCK = 1024  # rows per write; a larger block only raises peak memory
+
+
+def _cells(fmt: str, dtype, column) -> np.ndarray:
+    """The column's cells as an (n, width) byte grid, one % per distinct value.
+
+    Values are told apart by their bits, so -0.0 and each NaN keep their own
+    text, as in ``core._map``.
+    """
+    keys, inverse = np.unique(np.asarray(column, dtype).view(np.int64), return_inverse=True)
+    values = keys.view(dtype).tolist()
+    text = (fmt * len(values)) % tuple(values)
+    return np.frombuffer(text.encode(), np.uint8).reshape(len(values), -1)[inverse]
 
 
 def write_trace_csvs(result, outdir) -> list[Path]:
@@ -56,13 +82,16 @@ def write_trace_csvs(result, outdir) -> list[Path]:
     paths = []
     for slug in result.slugs:
         path = outdir / f"trace_{slug}.csv"
-        # each header name after "round" is the result's column of that name;
-        # the arrays are iterated directly, never copied to lists
+        # each header name after "round" is the result's column of that name
         columns = [getattr(result, name)[slug] for name in TRACE_HEADER[1:]]
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(TRACE_HEADER) + "\r\n")
-            rounds = range(1, len(columns[0]) + 1)
-            fh.writelines(_TRACE_ROW % row for row in zip(rounds, *columns))
+        n = len(columns[0])
+        with open(path, "wb") as fh:
+            fh.write((",".join(TRACE_HEADER) + "\r\n").encode())
+            for lo in range(0, n, _BLOCK):
+                hi = min(lo + _BLOCK, n)
+                block = [np.arange(lo + 1, hi + 1), *(c[lo:hi] for c in columns)]
+                grid = np.hstack([_cells(*cell, c) for cell, c in zip(_TRACE_CELLS, block)])
+                fh.write(grid[grid != ord(" ")])
         paths.append(path)
     return paths
 

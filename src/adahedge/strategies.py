@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Mapping, Set
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -297,8 +298,10 @@ def as_loss_array(losses) -> np.ndarray:
     """Coerce a loss stream to a (T, K) float array and validate it."""
     # an ndarray is kept as it is (no copy); any other iterable is read as rows
     try:
+        if isinstance(losses, (Set, Mapping)):  # rows in no order, or keys
+            raise TypeError
         arr = np.asarray(losses if isinstance(losses, np.ndarray) else list(losses))
-    except (TypeError, ValueError):  # not iterable, or ragged rows
+    except (TypeError, ValueError):  # not iterable, unordered, or ragged rows
         raise ValueError(
             f"loss stream must be a sequence of equal-length rows, got {type(losses).__name__}"
         ) from None
@@ -311,7 +314,7 @@ def as_loss_array(losses) -> np.ndarray:
     if t_total < 1:
         raise ValueError("loss stream is empty")
     if k < 2:
-        raise ValueError(f"need at least 2 actions, got {k}")
+        raise ValueError(f"loss stream must cover at least 2 actions, got {k}")
     if not np.isfinite(arr).all():
         raise ValueError("loss stream contains non-finite values")
     if (arr < -LOSS_RANGE_TOL).any() or (arr > 1.0 + LOSS_RANGE_TOL).any():

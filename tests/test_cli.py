@@ -10,16 +10,20 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 import xml.etree.ElementTree as ET
 from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import adahedge
 from adahedge.cli import ConfigError, main, parse_config
 from adahedge.reports import (
+    _BLOCK,
     SUMMARY_HEADER,
     TRACE_HEADER,
     format_sig,
@@ -317,12 +321,10 @@ class TestReportWriters:
             buf = io.StringIO(newline="")
             writer = csv.writer(buf)
             writer.writerow(TRACE_HEADER)
-            mr, mc = result.mean_regret[slug], result.mean_cum_loss[slug]
-            me, ev = result.mean_eta[slug], result.segment_events[slug]
-            for t in range(len(mr)):
-                writer.writerow(
-                    [t + 1, format_sig(mr[t]), format_sig(mc[t]), format_sig(me[t]), int(ev[t])]
-                )
+            # every column the header names after "round", of any length
+            columns = [getattr(result, name)[slug] for name in TRACE_HEADER[1:]]
+            for t, (mr, mc, me, ev) in enumerate(zip(*columns), 1):
+                writer.writerow([t, format_sig(mr), format_sig(mc), format_sig(me), int(ev)])
             files[f"trace_{slug}.csv"] = buf.getvalue()
         buf = io.StringIO(newline="")
         writer = csv.writer(buf)
@@ -351,6 +353,102 @@ class TestReportWriters:
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(want)
         for name, text in want.items():
             assert (tmp_path / name).read_bytes() == text.encode()
+
+    @staticmethod
+    def one_trace(regret, cum_loss, eta, events):
+        """A one-strategy result holding these trace columns."""
+        config = ExperimentConfig(
+            generator=FtlKiller(),
+            horizon_t=len(regret),
+            repetitions=1,
+            strategies=(FollowTheLeader(),),
+            base_seed=0,
+        )
+        return AggregateResult(
+            config=config,
+            mean_regret={"ftl": np.asarray(regret, np.float64)},
+            mean_cum_loss={"ftl": np.asarray(cum_loss, np.float64)},
+            mean_eta={"ftl": np.asarray(eta, np.float64)},
+            segment_events={"ftl": np.asarray(events, np.int64)},
+            segments_started={"ftl": np.array([1], dtype=np.int64)},
+        )
+
+    def assert_matches_reference(self, result, outdir):
+        write_trace_csvs(result, outdir)
+        write_summary_csv(result, outdir)
+        for name, text in self.reference(result).items():
+            assert (outdir / name).read_bytes() == text.encode(), name
+
+    @pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+    def test_block_edges_match_csv_module(self, n, tmp_path):
+        rng = np.random.default_rng(n)
+        regret = rng.normal(0.0, 100.0, n)
+        # eta and the events repeat within a block, as in real traces
+        eta = rng.choice([1.0, 0.5, 1 / 3, math.inf], n)
+        events = rng.integers(0, 3, n)
+        result = self.one_trace(regret, np.cumsum(np.abs(regret)), eta, events)
+        self.assert_matches_reference(result, tmp_path)
+
+    def test_widest_cells_and_special_values_match_csv_module(self, tmp_path):
+        nan_bits = [
+            0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+            0xFFF0000000000001, 0x7FF4000000000000, 0x7FFFFFFFFFFFFFFF,
+        ]
+        floats = np.concatenate(
+            [
+                [-1.23456789e-100, -5e-324, 5e-324, -0.0, 0.0, math.inf, -math.inf],
+                [-np.finfo(np.float64).max, np.finfo(np.float64).max],
+                np.array(nan_bits, dtype=np.uint64).view(np.float64),
+            ]
+        )
+        events = np.resize(np.array([2**63 - 1, -(2**63 - 1), -(2**63), 0]), len(floats))
+        result = self.one_trace(floats, floats[::-1], np.roll(floats, 3), events)
+        self.assert_matches_reference(result, tmp_path)
+        text = (tmp_path / "trace_ftl.csv").read_bytes().decode()
+        for widest in ("-1.23456789e-100,", "-4.94065646e-324,", ",-9223372036854775808\r\n"):
+            assert widest in text
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8),
+        picks=st.lists(st.integers(0, 7), min_size=1, max_size=40),
+        events=st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=4),
+        across_blocks=st.booleans(),
+    )
+    def test_any_float64_bits_match_csv_module(
+        self, tmp_path_factory, bits, picks, events, across_blocks
+    ):
+        """Raw bit patterns, repeated within a block and, when stretched,
+        across a block boundary."""
+        pool = np.array(bits, dtype=np.uint64).view(np.float64)
+        floats = pool[np.array(picks) % len(pool)]
+        if across_blocks:
+            floats = np.resize(floats, _BLOCK + len(floats))
+        n = len(floats)
+        result = self.one_trace(
+            floats, floats[::-1], np.roll(floats, 1), np.resize(np.array(events), n)
+        )
+        outdir = tmp_path_factory.getbasetemp() / "float64_bits"
+        self.assert_matches_reference(result, outdir)
+
+    def test_trace_writer_memory_is_pinned(self, tmp_path):
+        """The writer holds one block of rows at a time: its traced peak at
+        2e5 rows (about 0.3 MB) stays far below the ~6 MB that one whole
+        column as a Python list would take."""
+        n = 200_000
+        rng = np.random.default_rng(0)
+        # the rounds are distinct; the other columns repeat, as eta does,
+        # which keeps tracemalloc's cost per Python object down
+        regret, loss = rng.random(256)[rng.integers(0, 256, (2, n))]
+        eta = rng.choice([1.0, 0.5, 0.25], n)
+        result = self.one_trace(regret, loss, eta, rng.integers(0, 2, n))
+        tracemalloc.start()
+        try:
+            write_trace_csvs(result, tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
 
 class TestRunCommand:
@@ -596,6 +694,22 @@ class TestBoundsCommand:
     def test_missing_flag_is_an_error(self, capsys):
         assert main(["bounds", "budget", "--eta", "1"]) == 2
         assert "requires --k" in capsys.readouterr().err
+
+    def test_spaced_negative_value_reaches_its_rule(self, capsys):
+        """argparse reads a separate "-1e300" as an option."""
+        assert main(["bounds", "budget", "--eta", "-1e300", "--k", "2"]) == 2
+        assert capsys.readouterr().err == "error: eta must be in (0, inf), got -1e+300\n"
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("eta", "-1e300"), ("eta", "-inf"), ("eta", "-nan"), ("eta", "-1"), ("eta", "0.5"),
+         ("eta", "-1e-300"), ("k", "-1e3"), ("k", "-2"), ("k", "3")],
+    )
+    def test_spaced_value_is_read_as_the_joined_one(self, flag, value, capsys):
+        other = ["--k", "2"] if flag == "eta" else ["--eta", "0.5"]
+        spaced = main(["bounds", "budget", f"--{flag}", value, *other]), capsys.readouterr()
+        joined = main(["bounds", "budget", f"--{flag}={value}", *other]), capsys.readouterr()
+        assert spaced == joined
 
     def test_domain_violation_is_an_error(self, capsys):
         assert main(["bounds", "lemma2", "--eta", "1.5", "--lstar", "1", "--k", "2"]) == 2

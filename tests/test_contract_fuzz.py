@@ -1,20 +1,27 @@
-"""Contract fuzzing of the CLI's two outside inputs: config texts and bound flags.
+"""Contract fuzzing of the CLI's two outside inputs, config texts and bound
+flags, and of the typed API's arguments.
 
-Any input either runs or is refused with exit 2 and a message; nothing ends
-in a traceback.  Both tests run in-process, start no process, simulate
-nothing (config texts go through ``--dry-run`` only) and allocate nothing
-large.
+Any CLI input either runs or is refused with exit 2 and a message; any typed
+call returns a value or raises a ValueError/TypeError naming the parameter.
+Nothing ends in a traceback.  The tests run in-process, start no process,
+simulate nothing (config texts go through ``--dry-run`` only) and allocate
+nothing large.
 """
 
 import contextlib
 import io
 import math
+from decimal import Decimal
+from fractions import Fraction
 
-from hypothesis import given, settings
+import numpy as np
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from adahedge import cli
 from adahedge.cli import ConfigError, main, parse_config
+from adahedge.core import CumulativeLoss, WeightSnapshot, mix_loss, mixability_gap, posterior_update
+from adahedge.strategies import AdaHedge, init, run
 
 
 def run_main(argv):
@@ -147,3 +154,133 @@ def test_bound_is_finite_and_nonnegative_or_refused(argv):
         assert math.isfinite(value) and value >= 0 and not err
     else:
         assert err and not out
+
+
+# ---------------------------------------------------------------------------
+# the typed API
+
+ODD_ELEMENTS = [
+    "0.5", None, 10**400, 2**64, -(2**63), math.nan, -math.nan, math.inf, -math.inf, -0.0,
+    5e-324, 1e308, -1e308, True, 1j, Decimal("0.5"), Fraction(1, 2), np.float32(0.5),
+    np.int64(1), [0.5], object(),
+]
+ELEMENT = st.one_of(st.floats(0, 1), st.floats(), st.sampled_from(ODD_ELEMENTS))
+# a set has no order and a mapping would give its keys: both must be refused
+UNORDERED = {"set", "frozenset", "dict", "keys"}
+CONTAINERS = sorted(
+    UNORDERED | {"list", "tuple", "array", "generator", "values", "0-d", "3-d", "ragged", "str"}
+)
+
+
+def contain(kind, values):
+    """``values`` in the container named ``kind``; TypeError if they cannot be."""
+    if kind == "list":
+        return list(values)
+    if kind == "tuple":
+        return tuple(values)
+    if kind == "array":
+        try:
+            return np.array(values)
+        except (TypeError, ValueError):  # ragged or odd elements
+            return np.array(values, dtype=object)
+    if kind == "generator":
+        return (v for v in values)
+    if kind == "values":
+        return dict(enumerate(values)).values()
+    if kind == "set":
+        return set(values)
+    if kind == "frozenset":
+        return frozenset(values)
+    if kind == "dict":
+        return dict.fromkeys(values, 0.5)
+    if kind == "keys":
+        return dict.fromkeys(values).keys()
+    if kind == "0-d":
+        return np.array(0.5)
+    if kind == "3-d":
+        return np.full((1, 2, max(1, len(values))), 0.5)
+    if kind == "ragged":
+        return [list(values), list(values)[:1]]
+    assert kind == "str"
+    return ",".join(map(str, values))
+
+
+@st.composite
+def vectors(draw, good):
+    """(container kind, vector): ``good`` itself, or odd elements and counts."""
+    kind = draw(st.sampled_from(CONTAINERS))
+    values = draw(st.just(good) | st.lists(ELEMENT, max_size=5))
+    try:
+        return kind, contain(kind, values)
+    except TypeError:  # unhashable elements in a set or a mapping
+        assume(False)
+
+
+COUNTS = [-1, 0, 1, 2, 3, 2.0, 2.5, math.nan, math.inf, "2", None, True, 2**63, 10**400]
+RATES = [0.5, 0.0, -0.0, -1.0, math.nan, math.inf, 1e308, 5e-324, "0.5", None, 10**400, 1j]
+W, L = [0.25, 0.75], [0.0, 1.0]
+ROUND = {"weights": W, "loss": L, "eta": 0.5}
+# call name -> (function of the keyword arguments, defaults, the text a
+# refusal of each parameter contains)
+TYPED = {
+    "mix_loss": (lambda a: mix_loss(**a), ROUND, {"weights": "weight", "loss": "loss", "eta": "eta"}),
+    "mixability_gap": (
+        lambda a: mixability_gap(**a), ROUND, {"weights": "weight", "loss": "loss", "eta": "eta"}
+    ),
+    "posterior_update": (
+        lambda a: posterior_update(**a), ROUND, {"weights": "weight", "loss": "loss", "eta": "eta"}
+    ),
+    "CumulativeLoss": (
+        lambda a: CumulativeLoss(**a), {"totals": [0.0, 1.0], "rounds": 2},
+        {"totals": "total", "rounds": "rounds"},
+    ),
+    "from_weights": (lambda a: WeightSnapshot.from_weights(**a), {"weights": W}, {"weights": "weight"}),
+    "init": (lambda a: init(AdaHedge(), **a), {"k": 2}, {"k": "number of actions k"}),
+    "observe": (lambda a: init(AdaHedge(), 2).observe(**a), {"loss": L}, {"loss": "loss"}),
+    "run": (lambda a: run(AdaHedge(), **a), {"losses": [L, L[::-1]]}, {"losses": "loss"}),
+}
+SCALARS = {"eta": RATES, "rounds": COUNTS, "k": COUNTS}
+
+
+@st.composite
+def typed_calls(draw):
+    """(call name, parameter, container kinds it was given in, arguments)."""
+    name = draw(st.sampled_from(sorted(TYPED)))
+    _, defaults, _ = TYPED[name]
+    param = draw(st.sampled_from(sorted(defaults)))
+    kinds = set()
+    if param in SCALARS:
+        # no random float for k: an integral one would allocate k actions
+        odd = st.sampled_from(SCALARS[param]) | st.integers(-3, 5)
+        value = draw(odd if param == "k" else odd | st.floats())
+    elif param == "losses":  # rows of losses, each row in its own container
+        rows = []
+        for _ in range(draw(st.integers(0, 3))):
+            kind, row = draw(st.sampled_from([("tuple", tuple(L))]) | vectors(L))
+            kinds.add(kind)
+            rows.append(row)
+        outer = draw(st.sampled_from(CONTAINERS))
+        kinds.add(outer)
+        try:
+            value = contain(outer, rows)
+        except TypeError:  # unhashable rows in a set or a mapping
+            assume(False)
+    else:
+        kind, value = draw(vectors(defaults[param]))
+        kinds.add(kind)
+    return name, param, kinds, {**defaults, param: value}
+
+
+@settings(max_examples=600, deadline=None)
+@given(call=typed_calls())
+def test_typed_call_returns_or_names_its_parameter(call):
+    name, param, kinds, args = call
+    fn, _, names = TYPED[name]
+    try:
+        fn(args)
+    except (ValueError, TypeError) as exc:
+        text = str(exc)
+        # a weight vector of another length is reported as the loss count it implies
+        assert names[param] in text or (param == "weights" and "losses, got" in text), text
+    else:
+        assert not kinds & UNORDERED, f"{name} took {param} in no order: {args[param]!r}"

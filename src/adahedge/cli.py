@@ -1,7 +1,8 @@
 """Command-line front end: experiment runner, bound calculator, verifier.
 
 Exit codes: 0 success, 1 verification failure, 2 bad arguments or config,
-3 I/O failure.
+3 I/O failure.  A command raises each refusal where it happens, and ``main``
+alone maps a ``ValueError`` to 2 and an ``OSError`` to 3.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .verify import DEFAULT_SEED, run_suite
 __all__ = ["ConfigError", "parse_config", "main"]
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     """Config-file problem, located by file and (when known) line number."""
 
     def __init__(self, path, line_no: int, message: str):
@@ -221,18 +222,12 @@ def _describe_generator(generator) -> str:
 def cmd_run(args) -> int:
     try:
         text = Path(args.config).read_text(encoding="utf-8-sig")
-    except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 3
     except UnicodeDecodeError:
-        print(f"error: {args.config}: config is not UTF-8 text", file=sys.stderr)
-        return 2
-    try:
-        config = parse_config(text, args.config)
-        threads = _resolve_threads(None)
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"{args.config}: config is not UTF-8 text") from None
+    except OSError as exc:
+        raise OSError(f"cannot read config: {exc}") from None
+    config = parse_config(text, args.config)
+    threads = _resolve_threads(None)
 
     if args.dry_run:
         print(f"config OK: {args.config}")
@@ -246,19 +241,14 @@ def cmd_run(args) -> int:
 
     try:
         result = run_experiment(config, threads=threads)
-        svg_path = write_regret_svg(
-            result, Path(config.output_dir) / "regret.svg", log_x=args.log_x
-        )
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except MemoryError:
-        print(
-            f"error: out of memory for horizon_t = {config.horizon_t} and repetitions = "
-            f"{config.repetitions}; lower horizon_t or repetitions",
-            file=sys.stderr,
-        )
-        return 2
+        raise ValueError(
+            f"out of memory for horizon_t = {config.horizon_t} and repetitions = "
+            f"{config.repetitions}; lower horizon_t or repetitions"
+        ) from None
+    svg_path = write_regret_svg(
+        result, Path(config.output_dir) / "regret.svg", log_x=args.log_x
+    )
     for slug in config.slugs:
         print(
             f"{slug}: final mean regret {format_sig(result.mean_regret[slug][-1])}"
@@ -299,16 +289,11 @@ def cmd_bounds(args) -> int:
         value = _evaluate_bound(args)
         if not math.isfinite(value):  # an overflow the closed form did not raise
             raise OverflowError
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ArithmeticError as exc:  # overflow or underflow in the closed form
-        print(
-            f"error: bounds {args.name} is not representable as a float for these "
-            f"inputs ({type(exc).__name__})",
-            file=sys.stderr,
-        )
-        return 2
+        raise ValueError(
+            f"bounds {args.name} is not representable as a float for these "
+            f"inputs ({type(exc).__name__})"
+        ) from None
     if isinstance(value, int):
         print(value)
     else:
@@ -318,17 +303,12 @@ def cmd_bounds(args) -> int:
 
 def cmd_verify(args) -> int:
     seed = DEFAULT_SEED if args.seed is None else args.seed
-    try:
-        if args.full:  # the experiment report reads the thread count; refuse it first
-            _resolve_threads(None)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.full:  # the experiment report reads the thread count; refuse it first
+        _resolve_threads(None)
     try:
         results, info = run_suite(full=args.full, seed=seed)
     except ValueError as exc:  # the seed, refused before any property runs
-        print(f"error: --{exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--{exc}") from None
     profile = "--full" if args.full else "--quick"
     for res in results:
         line = f"{'PASS' if res.passed else 'FAIL'} {res.name}: {res.detail}"
@@ -416,7 +396,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 0 if code is None else 2
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:  # a refused value exits 2, an I/O failure 3
+        print(f"error: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, ValueError) else 3
 
 
 if __name__ == "__main__":

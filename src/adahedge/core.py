@@ -117,16 +117,20 @@ def _as_element(name: str, v) -> float:
     return f
 
 
-def _as_floats(name: str, values) -> list[float]:
-    """``values``, one per action, as a list of at least two floats; refused
-    by ``name`` unless they come in order (a set has none, and a mapping
-    would give its keys)."""
+def _in_order(name: str, values):
+    """``iter(values)``, refused by ``name`` unless the values come in order
+    (a set has none, and a mapping would give its keys)."""
     try:
         if isinstance(values, (Set, Mapping)):
             raise TypeError
-        values = iter(values)
+        return iter(values)
     except TypeError:
-        raise ValueError(f"{name} values must be a sequence, got {_shown(values)}") from None
+        raise ValueError(f"{name} must be a sequence, got {_shown(values)}") from None
+
+
+def _as_floats(name: str, values) -> list[float]:
+    """``values``, one per action, as a list of at least two floats."""
+    values = _in_order(f"{name} values", values)
     # floats skip the element check; observe() runs this every round
     out = [v if type(v) is float else _as_element(name, v) for v in values]
     if len(out) < 2:

@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import _check_int, _check_real
+from .core import _check_int, _check_real, _in_order, _shown
 from .strategies import AdaHedge, DoublingHedge, _Kind, run
 
 __all__ = [
@@ -105,6 +105,7 @@ class IidBernoulli(_Generator):
     probs: tuple[float, ...]
 
     def __init__(self, probs):
+        probs = _in_order("probs", probs)
         probs = tuple(_check_prob(f"probs[{i}]", p) for i, p in enumerate(probs))
         if len(probs) < 2:
             raise ValueError(f"need at least 2 actions, got {len(probs)}")
@@ -228,7 +229,7 @@ class ExperimentConfig:
         object.__setattr__(self, "horizon_t", _check_int("horizon_t", self.horizon_t, 1))
         object.__setattr__(self, "repetitions", _check_int("repetitions", self.repetitions, 1))
         object.__setattr__(self, "base_seed", _check_int("base_seed", self.base_seed, 0, _M64))
-        object.__setattr__(self, "strategies", tuple(self.strategies))
+        object.__setattr__(self, "strategies", tuple(_in_order("strategies", self.strategies)))
         if not self.strategies:
             raise ValueError("need at least one strategy")
         if not all(isinstance(kind, _Kind) for kind in self.strategies):
@@ -237,9 +238,13 @@ class ExperimentConfig:
         if len(set(slugs)) != len(slugs):
             raise ValueError(f"duplicate strategies in roster: {slugs}")
         if self.output_dir is not None:
-            object.__setattr__(self, "output_dir", Path(self.output_dir))
-            if "\0" in str(self.output_dir):
+            raw = self.output_dir
+            text = os.fspath(raw) if isinstance(raw, (str, os.PathLike)) else None
+            if not (isinstance(text, str) and text):  # "" would be the current directory
+                raise ValueError(f"output_dir must be a non-empty str or path, got {_shown(raw)}")
+            if "\0" in text:
                 raise ValueError("output_dir contains a NUL byte")
+            object.__setattr__(self, "output_dir", Path(text))
 
     @property
     def k(self) -> int:

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Mapping, Set
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -42,6 +41,7 @@ from .core import (
     _check_int,
     _check_real,
     _coerce_losses,
+    _in_order,
     _map,
     block_hedge_and_mix_loss,
     block_log_weights,
@@ -184,8 +184,13 @@ class Strategy:
             raise TypeError(f"unknown strategy kind {kind!r}")
         self.kind = kind
         self.k = k = _check_int("number of actions k", k, 2, sys.maxsize)
-        self._totals = [0.0] * k
-        self._seg_totals = [0.0] * k
+        try:
+            self._totals = [0.0] * k
+            self._seg_totals = [0.0] * k
+            self._lw = [-math.log(k)] * k
+            self._w = [1.0 / k] * k
+        except MemoryError:  # a k such as 10**12 passes the integer rule
+            raise MemoryError(f"number of actions k = {k} is too many for one list") from None
         self._rounds = 0
         self.segment = 1
         self.segment_starts = [1]
@@ -196,8 +201,6 @@ class Strategy:
         )
         self._two_lnk = 2.0 * math.log(k)
         self.budget = self._budget_at(self.eta)
-        self._lw = [-math.log(k)] * k
-        self._w = [1.0 / k] * k
         # round whose weights _w holds; leader play and VariableHedge compute
         # even their first-round weights in the refresh, as log(1/K) and
         # exp(-ln K), which differ from -ln K and 1/K in the last bit
@@ -298,9 +301,8 @@ def as_loss_array(losses) -> np.ndarray:
     """Coerce a loss stream to a (T, K) float array and validate it."""
     # an ndarray is kept as it is (no copy); any other iterable is read as rows
     try:
-        if isinstance(losses, (Set, Mapping)):  # rows in no order, or keys
-            raise TypeError
-        arr = np.asarray(losses if isinstance(losses, np.ndarray) else list(losses))
+        rows = losses if isinstance(losses, np.ndarray) else list(_in_order("loss stream", losses))
+        arr = np.asarray(rows)
     except (TypeError, ValueError):  # not iterable, unordered, or ragged rows
         raise ValueError(
             f"loss stream must be a sequence of equal-length rows, got {type(losses).__name__}"

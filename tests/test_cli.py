@@ -869,6 +869,37 @@ class TestVerifyCommand:
         assert info == []
 
 
+class TestRefusalExitCodes:
+    """``main`` alone maps a refusal to its exit code: a ValueError raised
+    anywhere in a command exits 2 and an OSError 3, each as one line."""
+
+    def test_config_error_is_a_value_error(self):
+        assert issubclass(ConfigError, ValueError)
+
+    def test_value_error_inside_run_exits_2(self, tmp_path, capsys, monkeypatch):
+        import adahedge.cli as cli_mod
+
+        def refuse(*args, **kwargs):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(cli_mod, "run_experiment", refuse)
+        monkeypatch.setenv("ADAHEDGE_THREADS", "1")
+        path = tmp_path / "exp.cfg"
+        path.write_text(VALID.format(out=tmp_path / "out"))
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr() == ("", "error: boom\n")
+
+    def test_os_error_inside_verify_exits_3(self, capsys, monkeypatch):
+        import adahedge.cli as cli_mod
+
+        def fail(*args, **kwargs):
+            raise OSError("disk gone")
+
+        monkeypatch.setattr(cli_mod, "run_suite", fail)
+        assert main(["verify", "--quick"]) == 3
+        assert capsys.readouterr() == ("", "error: disk gone\n")
+
+
 # ``--dry-run`` output of the shipped configs after their "config OK" line,
 # recorded before the generator tables were derived from the dataclasses
 DRY_RUN_PLANS = {

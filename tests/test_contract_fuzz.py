@@ -1,5 +1,6 @@
 """Contract fuzzing of the CLI's two outside inputs, config texts and bound
-flags, and of the typed API's arguments.
+flags, of the typed API's arguments and of the containers an experiment is
+built from.
 
 Any CLI input either runs or is refused with exit 2 and a message; any typed
 call returns a value or raises a ValueError/TypeError naming the parameter.
@@ -13,6 +14,7 @@ import io
 import math
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -21,7 +23,8 @@ from hypothesis import strategies as st
 from adahedge import cli
 from adahedge.cli import ConfigError, main, parse_config
 from adahedge.core import CumulativeLoss, WeightSnapshot, mix_loss, mixability_gap, posterior_update
-from adahedge.strategies import AdaHedge, init, run
+from adahedge.simulation import ExperimentConfig, IidBernoulli
+from adahedge.strategies import AdaHedge, FollowTheLeader, VariableHedge, init, run
 
 
 def run_main(argv):
@@ -284,3 +287,54 @@ def test_typed_call_returns_or_names_its_parameter(call):
         assert names[param] in text or (param == "weights" and "losses, got" in text), text
     else:
         assert not kinds & UNORDERED, f"{name} took {param} in no order: {args[param]!r}"
+
+
+# ---------------------------------------------------------------------------
+# the containers an experiment is built from
+
+ROSTER = [FollowTheLeader(), AdaHedge(), VariableHedge()]
+ROSTER_ELEMENTS = st.sampled_from(ROSTER + [AdaHedge(1.5), "ftl", None, 0.5, [AdaHedge()]])
+PATHS = ["out", Path("out"), Path(""), "", b"x", 5, 2.5, None, "a\0b", ["out"]]
+# field -> (a value that runs, the texts a refusal of the field contains)
+CONFIG_FIELDS = {
+    "probs": ([0.2, 0.8], ("probs", "need at least 2 actions")),
+    "strategies": (ROSTER, ("strateg",)),
+    "output_dir": ("out", ("output_dir",)),
+}
+
+
+@st.composite
+def experiment_fields(draw):
+    """(field, container kind or None, the values it holds, arguments)."""
+    args = {name: value for name, (value, _) in CONFIG_FIELDS.items()}
+    field = draw(st.sampled_from(sorted(CONFIG_FIELDS)))
+    if field == "output_dir":
+        args[field] = draw(st.sampled_from(PATHS) | st.text(max_size=4))
+        return field, None, None, args
+    kind = draw(st.sampled_from(CONTAINERS))
+    elements = ELEMENT if field == "probs" else ROSTER_ELEMENTS
+    values = draw(st.just(args[field]) | st.lists(elements, max_size=4))
+    try:
+        args[field] = contain(kind, values)
+    except TypeError:  # unhashable elements in a set or a mapping
+        assume(False)
+    return field, kind, values, args
+
+
+@settings(max_examples=400, deadline=None)
+@given(call=experiment_fields())
+def test_experiment_is_built_in_order_or_names_its_field(call):
+    field, kind, values, args = call
+    try:
+        generator = IidBernoulli(args["probs"])
+        config = ExperimentConfig(generator, 10, 1, args["strategies"], 0, args["output_dir"])
+    except (ValueError, TypeError) as exc:
+        assert any(text in str(exc) for text in CONFIG_FIELDS[field][1]), str(exc)
+        return
+    assert kind not in UNORDERED, f"{field} taken in no order: {args[field]!r}"
+    if field == "probs":
+        assert generator.probs == tuple(map(float, values))
+    elif field == "strategies":
+        assert config.strategies == tuple(values)
+    elif args[field] is not None:
+        assert isinstance(config.output_dir, Path)

@@ -155,6 +155,15 @@ class TestGenerators:
         with pytest.raises(ValueError, match="0 <"):
             AlternatingPair(a=0.05, b=0.6, eps=0.1)
 
+    @pytest.mark.parametrize("probs", [{0.9, 0.1, 0.5}, {0.9: 1, 0.1: 1}, 5, None], ids=repr)
+    def test_probs_without_an_order_are_refused_by_name(self, probs):
+        with pytest.raises(ValueError, match="^probs must be a sequence, got "):
+            IidBernoulli(probs)
+
+    def test_probs_keep_the_order_they_were_given(self):
+        assert IidBernoulli(p for p in (0.9, 0.1, 0.5)).probs == (0.9, 0.1, 0.5)
+        assert IidBernoulli({0: 0.9, 1: 0.1}.values()).probs == (0.9, 0.1)
+
     def test_generate_rejects_bad_horizon(self):
         with pytest.raises(ValueError, match="horizon"):
             generate(FtlKiller(), 0, seed=1)
@@ -213,6 +222,22 @@ class TestExperimentConfig:
     def test_rejects_roster_entry_that_is_not_a_kind(self):
         with pytest.raises(TypeError, match="strategies"):
             self.small(strategies=(FollowTheLeader(), "ftl"))
+
+    @pytest.mark.parametrize(
+        "roster", [{AdaHedge(2.0)}, {AdaHedge(2.0): 1}, None, 5], ids=repr
+    )
+    def test_roster_without_an_order_is_refused_by_name(self, roster):
+        with pytest.raises(ValueError, match="^strategies must be a sequence, got "):
+            self.small(strategies=roster)
+
+    def test_roster_keeps_the_order_it_was_given(self):
+        kinds = (VariableHedge(), FollowTheLeader(), AdaHedge(2.0))
+        assert self.small(strategies=iter(kinds)).strategies == kinds
+
+    @pytest.mark.parametrize("output_dir", [b"x", 5, ""], ids=repr)
+    def test_output_dir_must_be_a_non_empty_path(self, output_dir):
+        with pytest.raises(ValueError, match="^output_dir must be a non-empty str or path, got "):
+            self.small(output_dir=output_dir)
 
     def test_summary_records_the_ints_it_ran(self, tmp_path):
         """Integral floats and numpy integers are stored, run and written

@@ -124,6 +124,12 @@ class TestInit:
         with pytest.raises(TypeError, match="unknown strategy kind"):
             init("ftl", 2)
 
+    def test_k_past_memory_names_k(self):
+        """A k the integer rule takes but no list can hold; 10**12 fails at
+        once, where a k near 1e8 would allocate gigabytes first."""
+        with pytest.raises(MemoryError, match=r"^number of actions k = 1000000000000 "):
+            init(AdaHedge(), 10**12)
+
 
 class TestFollowTheLeaderActs:
     def test_plays_unique_leader(self):

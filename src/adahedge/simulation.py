@@ -14,10 +14,16 @@ alone, independent of platform, thread count or evaluation order.
 
 Bernoulli sampling emits loss 1 exactly when the uniform draw is < p.
 
-``run_experiment`` may fan repetitions out over a process pool capped by
-the ``ADAHEDGE_THREADS`` environment variable and by the CPU count;
-per-repetition results are merged in repetition order, so aggregate output
-is byte-identical for every thread count.
+``run_experiment`` may fan its work out over a process pool capped by the
+``ADAHEDGE_THREADS`` environment variable and by the CPU count.  A task is
+one repetition's stream and a slice of the roster: the whole roster while
+there are at least as many repetitions as workers, else one strategy, so a
+single repetition still keeps every worker busy.  The parent adds each
+strategy's regret, loss and rate arrays into that strategy's sums as they
+arrive, in repetition order, and divides the sums in place into the means.
+Every sum is therefore ``0 + r0 + r1 + ...`` whatever the thread count, and
+aggregate output is byte-identical for every thread count.  The run holds
+the means plus the tasks in flight, never every repetition's arrays.
 """
 
 from __future__ import annotations
@@ -239,7 +245,10 @@ class ExperimentConfig:
             raise ValueError(f"duplicate strategies in roster: {slugs}")
         if self.output_dir is not None:
             raw = self.output_dir
-            text = os.fspath(raw) if isinstance(raw, (str, os.PathLike)) else None
+            try:
+                text = os.fspath(raw)
+            except TypeError:  # not a path, or its __fspath__ gives neither str nor bytes
+                text = None
             if not (isinstance(text, str) and text):  # "" would be the current directory
                 raise ValueError(f"output_dir must be a non-empty str or path, got {_shown(raw)}")
             if "\0" in text:
@@ -297,20 +306,38 @@ def _resolve_threads(threads: Optional[int]) -> int:
     return min(threads, os.cpu_count() or 1)
 
 
-def _simulate_repetition(config: ExperimentConfig, rep: int):
-    """One repetition: every strategy on the repetition's stream.
+def _kept(trace) -> tuple:
+    """The parts of a trace the merge reads; the rest is freed with it."""
+    return trace.regret, trace.cum_agent_loss, trace.eta, tuple(trace.segment_starts)
 
-    Returns compact per-strategy arrays; must stay a module-level function
-    so process pools can pickle it.
+
+def _simulate(config: ExperimentConfig, task: tuple[int, tuple[_Kind, ...]]) -> list[tuple]:
+    """One task: the strategies ``kinds`` on repetition ``rep``'s stream.
+
+    Returns one (regret, cumulative loss, eta, segment starts) tuple per
+    kind; must stay a module-level function so process pools can pickle it.
     """
+    rep, kinds = task
     stream = generate(config.generator, config.horizon_t, derive_seed(config.base_seed, rep))
-    out = []
-    for kind in config.strategies:
-        trace = run(kind, stream)
-        out.append(
-            (trace.regret, trace.cum_agent_loss, trace.eta, tuple(trace.segment_starts))
-        )
-    return out
+    return [_kept(run(kind, stream)) for kind in kinds]
+
+
+def _fold(result: AggregateResult, counts: dict, kinds, out: list[tuple]) -> None:
+    """Add one task's arrays into the result's running sums, in place.
+
+    A strategy's first repetition becomes its sum: ``0.0 + x`` computed
+    into ``x`` is, bit for bit, the first step of a sum started from zeros
+    (it turns -0.0 into 0.0), without a zero-filled array beside it.
+    """
+    for kind, (*arrays, starts) in zip(kinds, out):
+        slug = kind.slug
+        for sums, x in zip((result.mean_regret, result.mean_cum_loss, result.mean_eta), arrays):
+            if slug in sums:
+                sums[slug] += x
+            else:
+                sums[slug] = np.add(0.0, x, out=x)
+        result.segment_events[slug][np.asarray(starts, dtype=np.int64) - 1] += 1
+        counts[slug].append(len(starts))
 
 
 def run_experiment(
@@ -327,44 +354,39 @@ def run_experiment(
     t_total = config.horizon_t
     slugs = config.slugs
 
-    try:
-        sum_regret = {s: np.zeros(t_total) for s in slugs}
-        sum_cum_loss = {s: np.zeros(t_total) for s in slugs}
-        sum_eta = {s: np.zeros(t_total) for s in slugs}
-        seg_events = {s: np.zeros(t_total, dtype=np.int64) for s in slugs}
-    except ValueError:  # numpy refuses a length it cannot address, before allocating
-        raise MemoryError(f"horizon_t = {t_total} is too long for one array") from None
-    seg_counts = {s: [] for s in slugs}
-
-    worker = partial(_simulate_repetition, config)
-    if threads == 1 or reps == 1:
-        results = map(worker, range(reps))
-        pool = None
+    # a whole repetition per task, unless that leaves workers idle
+    if reps >= threads:
+        tasks = [(rep, config.strategies) for rep in range(reps)]
     else:
-        pool = ProcessPoolExecutor(max_workers=min(threads, reps))
-        chunk = max(1, -(-reps // (4 * threads)))
-        results = pool.map(worker, range(reps), chunksize=chunk)
+        tasks = [(rep, (kind,)) for rep in range(reps) for kind in config.strategies]
+    worker = partial(_simulate, config)
+    workers = min(threads, len(tasks))
+    if workers == 1:
+        results = map(worker, tasks)
+        pool = None
+    else:  # started before the sums exist, so its forked workers never hold them
+        pool = ProcessPoolExecutor(max_workers=workers)
+        chunk = max(1, -(-len(tasks) // (4 * workers)))
+        results = pool.map(worker, tasks, chunksize=chunk)
 
     try:
-        for per_strategy in results:  # arrives in repetition order
-            for slug, (regret, cum_loss, eta, starts) in zip(slugs, per_strategy):
-                sum_regret[slug] += regret
-                sum_cum_loss[slug] += cum_loss
-                sum_eta[slug] += eta
-                seg_events[slug][np.asarray(starts, dtype=np.int64) - 1] += 1
-                seg_counts[slug].append(len(starts))
+        try:
+            events = {s: np.zeros(t_total, dtype=np.int64) for s in slugs}
+        except ValueError:  # numpy refuses a length it cannot address, before allocating
+            raise MemoryError(f"horizon_t = {t_total} is too long for one array") from None
+        # the three mean dicts gain each strategy's sums at its first task
+        result = AggregateResult(config, {}, {}, {}, events, {})
+        counts = {s: [] for s in slugs}
+        for _, kinds in tasks:  # results arrive in task order
+            _fold(result, counts, kinds, next(results))  # and are freed once folded
     finally:
         if pool is not None:
-            pool.shutdown()
+            pool.shutdown(cancel_futures=True)
 
-    result = AggregateResult(
-        config=config,
-        mean_regret={s: sum_regret[s] / reps for s in slugs},
-        mean_cum_loss={s: sum_cum_loss[s] / reps for s in slugs},
-        mean_eta={s: sum_eta[s] / reps for s in slugs},
-        segment_events=seg_events,
-        segments_started={s: np.asarray(seg_counts[s], dtype=np.int64) for s in slugs},
-    )
+    for means in (result.mean_regret, result.mean_cum_loss, result.mean_eta):
+        for sums in means.values():
+            sums /= reps
+    result.segments_started = {s: np.asarray(counts[s], dtype=np.int64) for s in slugs}
 
     if config.output_dir is not None:
         from .reports import write_summary_csv, write_trace_csvs

@@ -1,13 +1,14 @@
-"""The schedule rules of the rate-tuning kinds, read off ``run()`` traces,
-and the planted faults each rule catches.
+"""The schedule rules of the rate-tuning kinds and leader play's tie split,
+read off ``run()`` traces, and the planted faults each rule catches.
 
 VariableHedge plays round t at min(1, sqrt(2 ln K / L*)) of the previous
 round's best total, and at 1 while that total is 0.  AdaHedge and
 DoublingHedge play segment j at phi**(1 - j) and restart after the first
 round whose restart quantity reaches the segment's budget: the gap sum
 against (1/eta + 1/(e-1)) ln K, or the segment's best total against
-2 ln K / eta**2.  Each rule is written out here as the state evaluates it,
-so every comparison is exact.
+2 ln K / eta**2.  Leader play spreads its weight evenly over the actions
+tied for the lowest total.  Each rule is written out here as the state
+evaluates it, so every comparison is exact.
 """
 
 import math
@@ -16,8 +17,15 @@ import numpy as np
 import pytest
 
 from adahedge import bounds
-from adahedge.simulation import unit_uniforms
-from adahedge.strategies import AdaHedge, DoublingHedge, Strategy, VariableHedge, run
+from adahedge.simulation import FtlKiller, generate, unit_uniforms
+from adahedge.strategies import (
+    AdaHedge,
+    DoublingHedge,
+    FollowTheLeader,
+    Strategy,
+    VariableHedge,
+    run,
+)
 
 KS = (2, 3, 5, 16)
 FAMILIES = ("uniform", "antithetic")
@@ -85,6 +93,30 @@ def broken_rules():
         arr = exact_stream()
         broken |= {rule for _, rule in restart_misses(kind, run(kind, arr), arr)}
     return broken
+
+
+def leader_tie_misses(trace, arr):
+    """Rounds where leader play does not spread its weight evenly over the
+    actions tied for the lowest total before the round."""
+    totals = np.zeros(arr.shape[1])
+    misses = []
+    for t, row in enumerate(arr.tolist()):
+        lead = totals == totals.min()
+        if trace.agent_loss[t] != np.asarray(row)[lead].sum() / lead.sum():
+            misses.append(t)
+        totals += row
+    return misses
+
+
+@pytest.mark.parametrize("k", (2, 4))
+def test_leader_play_splits_ties_evenly(k):
+    """0/1 losses over two or four actions tie the totals often, and every
+    split mean is exact; the leader trap ties both actions every other round."""
+    arr = (unit_uniforms(9000 + k, 1500 * k).reshape(1500, k) < 0.5).astype(np.float64)
+    trace = run(FollowTheLeader(), arr)
+    assert leader_tie_misses(trace, arr) == []
+    killer = generate(FtlKiller(), 200, 0)
+    assert leader_tie_misses(run(FollowTheLeader(), killer), killer) == []
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -1,11 +1,15 @@
 """Tests for the loss generators and the multi-repetition harness."""
 
 import math
+import os
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import adahedge.reports as reports_mod
+import adahedge.simulation as simulation_mod
 from adahedge.simulation import (
     AlternatingPair,
     Correlated,
@@ -18,7 +22,14 @@ from adahedge.simulation import (
     segment_statistics,
     unit_uniforms,
 )
-from adahedge.strategies import AdaHedge, FollowTheLeader, VariableHedge, run
+from adahedge.strategies import (
+    AdaHedge,
+    DoublingHedge,
+    FollowTheLeader,
+    OracleHedge,
+    VariableHedge,
+    run,
+)
 
 
 class TestRandomnessKernel:
@@ -173,6 +184,19 @@ class TestGenerators:
             generate(object(), 10, seed=1)
 
 
+class _FsPath:
+    """An ``os.PathLike`` whose ``__fspath__`` gives ``value``, whatever it is."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __fspath__(self):
+        return self.value
+
+    def __repr__(self):
+        return f"_FsPath({self.value!r})"
+
+
 class TestExperimentConfig:
     def small(self, **overrides):
         kwargs = dict(
@@ -234,10 +258,15 @@ class TestExperimentConfig:
         kinds = (VariableHedge(), FollowTheLeader(), AdaHedge(2.0))
         assert self.small(strategies=iter(kinds)).strategies == kinds
 
-    @pytest.mark.parametrize("output_dir", [b"x", 5, ""], ids=repr)
+    @pytest.mark.parametrize(
+        "output_dir", [b"x", 5, "", _FsPath(5), _FsPath(b"x"), _FsPath("")], ids=repr
+    )
     def test_output_dir_must_be_a_non_empty_path(self, output_dir):
         with pytest.raises(ValueError, match="^output_dir must be a non-empty str or path, got "):
             self.small(output_dir=output_dir)
+
+    def test_output_dir_takes_any_path_giving_text(self, tmp_path):
+        assert self.small(output_dir=_FsPath(str(tmp_path))).output_dir == tmp_path
 
     def test_summary_records_the_ints_it_ran(self, tmp_path):
         """Integral floats and numpy integers are stored, run and written
@@ -319,6 +348,156 @@ class TestRunExperiment:
     def test_rejects_bad_thread_count(self):
         with pytest.raises(ValueError, match="thread"):
             run_experiment(self.config(reps=2), threads=0)
+
+
+FIELDS = ("mean_regret", "mean_cum_loss", "mean_eta", "segment_events", "segments_started")
+
+
+def _reference(cfg):
+    """The five aggregate fields computed straight from the definition: per
+    strategy, zeros plus each repetition's trace in repetition order, over
+    the repetition count."""
+    sums = {f: {s: np.zeros(cfg.horizon_t) for s in cfg.slugs} for f in FIELDS[:3]}
+    events = {s: np.zeros(cfg.horizon_t, dtype=np.int64) for s in cfg.slugs}
+    counts = {s: [] for s in cfg.slugs}
+    for rep in range(cfg.repetitions):
+        stream = generate(cfg.generator, cfg.horizon_t, derive_seed(cfg.base_seed, rep))
+        for kind in cfg.strategies:
+            trace = simulation_mod.run(kind, stream)
+            for field, x in zip(FIELDS, (trace.regret, trace.cum_agent_loss, trace.eta)):
+                sums[field][kind.slug] = sums[field][kind.slug] + x
+            for start in trace.segment_starts:
+                events[kind.slug][start - 1] += 1
+            counts[kind.slug].append(len(trace.segment_starts))
+    means = {f: {s: a / cfg.repetitions for s, a in sums[f].items()} for f in sums}
+    return {
+        **means,
+        "segment_events": events,
+        "segments_started": {s: np.array(c, dtype=np.int64) for s, c in counts.items()},
+    }
+
+
+def _assert_same_bits(got: dict, want: dict):
+    assert list(got) == list(want)
+    for slug in want:
+        assert got[slug].dtype == want[slug].dtype, slug
+        assert got[slug].tobytes() == want[slug].tobytes(), slug
+
+
+class TestFanOut:
+    """Tasks are whole repetitions while there are at least as many
+    repetitions as workers, else single strategies; either way every field
+    is the definition's value bit for bit and the files are the same bytes."""
+
+    def config(self, reps, output_dir=None):
+        return ExperimentConfig(
+            generator=IidBernoulli((0.2, 0.5, 0.8)),
+            horizon_t=300,
+            repetitions=reps,
+            strategies=(FollowTheLeader(), AdaHedge(2.0), VariableHedge()),
+            base_seed=101,
+            output_dir=output_dir,
+        )
+
+    @pytest.mark.parametrize("reps", [1, 2, 3])
+    def test_every_field_and_file_is_the_same_at_any_thread_count(
+        self, reps, tmp_path, monkeypatch
+    ):
+        # four workers split R = 2 and 3 by strategy too, on any machine
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        want = _reference(self.config(reps))
+        files = {}
+        for threads in (1, 2, 4):
+            outdir = tmp_path / f"t{threads}"
+            result = run_experiment(self.config(reps, outdir), threads=threads)
+            for field in FIELDS:
+                _assert_same_bits(getattr(result, field), want[field])
+            files[threads] = {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
+        assert len(files[1]) == 4
+        assert files[1] == files[2] == files[4]
+
+    def test_first_repetition_sum_starts_from_zero(self, monkeypatch):
+        """A -0.0 in the first repetition's arrays sums to 0.0, as a sum
+        started from zeros gives."""
+        traced = run
+
+        def negative_zeros(kind, stream):
+            trace = traced(kind, stream)
+            trace.regret[::7] = -0.0
+            return trace
+
+        monkeypatch.setattr(simulation_mod, "run", negative_zeros)
+        cfg = self.config(1)
+        result = run_experiment(cfg, threads=1)
+        for field in FIELDS:
+            _assert_same_bits(getattr(result, field), _reference(cfg)[field])
+        regret = result.mean_regret["ftl"]
+        assert (regret[::7] == 0.0).all() and not np.signbit(regret).any()
+
+    def test_calls_through_the_module_names(self, tmp_path, monkeypatch):
+        """The names the per-layer benchmark wraps: ``generate`` once per
+        repetition, ``run`` once per strategy and repetition, and the trace
+        writer once with the result and the output directory."""
+        calls = {"generate": 0, "run": 0}
+        written = []
+        for name in calls:
+            fn = getattr(simulation_mod, name)
+
+            def counted(*args, _name=name, _fn=fn, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(simulation_mod, name, counted)
+        write = reports_mod.write_trace_csvs
+
+        def recorded(*args, **kwargs):
+            written.append((args, kwargs))
+            return write(*args, **kwargs)
+
+        monkeypatch.setattr(reports_mod, "write_trace_csvs", recorded)
+        cfg = self.config(3, tmp_path)
+        result = run_experiment(cfg, threads=1)
+        assert calls == {"generate": 3, "run": 9}
+        assert len(written) == 1
+        (args, kwargs), = written
+        assert args[0] is result and args[1] == tmp_path and not kwargs
+
+    def test_holds_the_means_and_one_repetition(self):
+        """At one thread the traced peak stays within the final result's
+        bytes plus one repetition's working set: its stream, the costliest
+        single ``run`` and the three kept arrays of every strategy."""
+        kinds = (
+            FollowTheLeader(), OracleHedge(), DoublingHedge(2.0), AdaHedge(2.0), VariableHedge()
+        )
+        cfg = ExperimentConfig(
+            generator=AlternatingPair(a=0.2, b=0.6, eps=0.1),
+            horizon_t=100_000,
+            repetitions=2,
+            strategies=kinds,
+            base_seed=1,
+        )
+        tracemalloc.start()
+        try:
+            stream = generate(cfg.generator, cfg.horizon_t, derive_seed(1, 0))
+            run_peaks = []
+            for kind in kinds:
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                run(kind, stream)
+                run_peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            kept = 3 * len(kinds) * cfg.horizon_t * 8
+            working_set = stream.nbytes + max(run_peaks) + kept
+            del stream
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            result = run_experiment(cfg, threads=1)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        result_bytes = sum(
+            a.nbytes for field in FIELDS for a in getattr(result, field).values()
+        )
+        assert peak <= result_bytes + working_set, (peak, result_bytes, working_set)
 
 
 class TestSegmentStatistics:

@@ -7,6 +7,8 @@ details, and that a wrong block kernel fails both properties on their
 numbers rather than through an exception.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -123,3 +125,28 @@ def test_slightly_wrong_block_kernel_fails_gap_range(monkeypatch):
     assert not ok
     low = float(detail.split("min gap ")[1].split(",")[0])
     assert low < -1e-7
+
+
+def test_budget_constant_is_checked_apart_from_the_calculators(monkeypatch, capsys):
+    """A budget built on e - 2 in place of e - 1 restarts AdaHedge late, so
+    every depletion overshoots the paper's window; ``verify`` holds its own
+    e - 1 and reports that, whatever ``bounds`` says."""
+    import adahedge.bounds as bounds_mod
+
+    monkeypatch.setattr(bounds_mod, "_E1", math.e - 2.0)
+    assert main(["verify", "--quick"]) == 1
+    fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL ")]
+    assert len(fails) == 1
+    assert fails[0].startswith("FAIL depletion-window-theorem1: stream 0, eta=1.0: gap ")
+    assert " left window [b, b+eta/8)  [rerun: " in fails[0]
+
+
+def test_gap_budget_reads_its_own_constant(monkeypatch):
+    """Lemma 2's bound in ``verify`` does not move with the calculators'
+    constant: the property reports the same excess on e - 2."""
+    import adahedge.bounds as bounds_mod
+
+    seed = derive_seed(DEFAULT_SEED, 1003)
+    real = verify_mod._check_gap_budget(seed, 5)
+    monkeypatch.setattr(bounds_mod, "_E1", math.e - 2.0)
+    assert verify_mod._check_gap_budget(seed, 5) == real

@@ -11,6 +11,7 @@ import argparse
 import math
 import re
 import sys
+from concurrent.futures import BrokenExecutor
 from dataclasses import MISSING, fields
 from pathlib import Path
 
@@ -245,6 +246,11 @@ def cmd_run(args) -> int:
         raise ValueError(
             f"out of memory for horizon_t = {config.horizon_t} and repetitions = "
             f"{config.repetitions}; lower horizon_t or repetitions"
+        ) from None
+    except BrokenExecutor:  # a pool worker was killed, say by the OS out of memory
+        raise ValueError(
+            f"a pool worker process died running horizon_t = {config.horizon_t} and "
+            f"repetitions = {config.repetitions}; lower them or ADAHEDGE_THREADS"
         ) from None
     svg_path = write_regret_svg(
         result, Path(config.output_dir) / "regret.svg", log_x=args.log_x

@@ -14,6 +14,11 @@ alone, independent of platform, thread count or evaluation order.
 
 Bernoulli sampling emits loss 1 exactly when the uniform draw is < p.
 
+Because output ``i`` depends on ``i`` alone, a stream is generated in
+blocks of rows written straight into its ``(T, K)`` array, each block
+drawing its own run of counters.  Generation holds the stream plus one
+block, and the stream's bits do not depend on the block size.
+
 ``run_experiment`` may fan its work out over a process pool capped by the
 ``ADAHEDGE_THREADS`` environment variable and by the CPU count.  A task is
 one repetition's stream and a slice of the roster: the whole roster while
@@ -61,6 +66,11 @@ THREADS_ENV = "ADAHEDGE_THREADS"
 
 _M64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+# most uniforms one generation block draws; a stream's bits do not depend on it.
+# Freeing a block's 1 MiB of counters lifts glibc's dynamic mmap and trim
+# thresholds above the strategy kernel's per-block arrays; at 2**16 those were
+# unmapped and faulted in again every block (84k page faults against 32k at K=256)
+_BLOCK = 2**17
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
@@ -81,13 +91,33 @@ def derive_seed(base_seed: int, index: int) -> int:
     return int(_mix64(x[:1] ^ x[1:])[0])
 
 
+def _allocate(make, shape, dtype, name: str, value: int) -> np.ndarray:
+    """``make(shape, dtype)``, or a MemoryError naming the size that asked for it."""
+    try:
+        return make(shape, dtype)
+    except (ValueError, MemoryError):  # a size numpy cannot address, or bytes the OS lacks
+        raise MemoryError(f"{name} = {value} is too long for one array") from None
+
+
+def _uniforms(seed: int, start: int, out: np.ndarray) -> np.ndarray:
+    """Uniforms ``start`` onwards of the stream ``seed`` in [0, 2**64),
+    written into the float64 vector ``out``."""
+    x = np.arange(start + 1, start + len(out) + 1, dtype=np.uint64)
+    x *= np.uint64(_GAMMA)
+    x += np.uint64(seed)
+    _mix64(x)
+    x >>= np.uint64(11)
+    return np.multiply(x, 2.0**-53, out=out)
+
+
 def unit_uniforms(seed: int, n: int) -> np.ndarray:
     """First ``n`` uniforms in [0, 1) of the SplitMix64 stream ``seed``."""
     n = _check_int("n", n, 0)
-    x = np.arange(1, n + 1, dtype=np.uint64)
-    x *= np.uint64(_GAMMA)
-    x += np.uint64(_check_int("seed", seed) & _M64)
-    return (_mix64(x) >> np.uint64(11)) * 2.0**-53
+    seed = _check_int("seed", seed) & _M64
+    out = _allocate(np.empty, n, np.float64, "n", n)
+    for start in range(0, n, _BLOCK):
+        _uniforms(seed, start, out[start : start + _BLOCK])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -179,39 +209,47 @@ GENERATORS = {
 def generate(spec: _Generator, horizon_t: int, seed: int) -> np.ndarray:
     """Loss stream of shape (horizon_t, K) for one repetition seed."""
     t_total = _check_int("horizon_t", horizon_t, 1)
-    seed = _check_int("seed", seed)
+    seed = _check_int("seed", seed) & _M64
+    if not isinstance(spec, tuple(GENERATORS.values())):
+        raise TypeError(f"unknown generator spec {spec!r}")
+    out = _allocate(np.empty, (t_total, spec.k), np.float64, "horizon_t", t_total)
 
     if isinstance(spec, IidBernoulli):
         k = spec.k
-        u = unit_uniforms(seed, t_total * k).reshape(t_total, k)
-        return (u < np.asarray(spec.probs)).astype(np.float64)
+        rows = max(1, _BLOCK // k)
+        probs = np.asarray(spec.probs)
+        for r0 in range(0, t_total, rows):
+            block = out[r0 : r0 + rows]
+            _uniforms(seed, r0 * k, block.reshape(-1))
+            np.less(block, probs, out=block)
+        return out
 
     if isinstance(spec, Correlated):
-        u = unit_uniforms(seed, 3 * t_total).reshape(t_total, 3)
-        tv = np.arange(1, t_total + 1, dtype=np.float64)
-        q1 = spec.p1 / tv
-        q2 = spec.p2 / tv
-        hard = u[:, 0] < spec.hard_prob
-        loss1 = u[:, 1] < np.where(hard, 1.0 - q1, q1)
-        loss2 = u[:, 2] < np.where(hard, 1.0 - q2, q2)
-        return np.column_stack([loss1, loss2]).astype(np.float64)
+        rows = _BLOCK // 3
+        draws = np.empty(3 * min(rows, t_total))  # one block's uniforms, reused
+        for r0 in range(0, t_total, rows):
+            block = out[r0 : r0 + rows]
+            u = _uniforms(seed, 3 * r0, draws[: 3 * len(block)]).reshape(-1, 3)
+            tv = np.arange(r0 + 1, r0 + len(block) + 1, dtype=np.float64)
+            hard = u[:, 0] < spec.hard_prob
+            for j, p in enumerate((spec.p1, spec.p2)):
+                q = p / tv
+                np.less(u[:, j + 1], np.where(hard, 1.0 - q, q), out=block[:, j])
+        return out
 
     if isinstance(spec, AlternatingPair):
-        out = np.empty((t_total, 2), dtype=np.float64)
         out[0::2, 0] = spec.a + spec.eps
         out[0::2, 1] = spec.b - spec.eps
         out[1::2, 0] = spec.a - spec.eps
         out[1::2, 1] = spec.b + spec.eps
         return out
 
-    if isinstance(spec, FtlKiller):
-        out = np.zeros((t_total, 2), dtype=np.float64)
-        out[0, 0] = 0.5
-        out[2::2, 0] = 1.0  # rounds 3, 5, 7, ...
-        out[1::2, 1] = 1.0  # rounds 2, 4, 6, ...
-        return out
-
-    raise TypeError(f"unknown generator spec {spec!r}")
+    # FtlKiller
+    out.fill(0.0)
+    out[0, 0] = 0.5
+    out[2::2, 0] = 1.0  # rounds 3, 5, 7, ...
+    out[1::2, 1] = 1.0  # rounds 2, 4, 6, ...
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -370,10 +408,7 @@ def run_experiment(
         results = pool.map(worker, tasks, chunksize=chunk)
 
     try:
-        try:
-            events = {s: np.zeros(t_total, dtype=np.int64) for s in slugs}
-        except ValueError:  # numpy refuses a length it cannot address, before allocating
-            raise MemoryError(f"horizon_t = {t_total} is too long for one array") from None
+        events = {s: _allocate(np.zeros, t_total, np.int64, "horizon_t", t_total) for s in slugs}
         # the three mean dicts gain each strategy's sums at its first task
         result = AggregateResult(config, {}, {}, {}, events, {})
         counts = {s: [] for s in slugs}

@@ -498,6 +498,29 @@ class TestRunCommand:
         assert err.startswith("error: ") and f"horizon_t = {horizon}" in err
         assert not (tmp_path / "out").exists()
 
+    def test_dead_pool_worker_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        """A worker that exits abruptly breaks the pool. The forked workers
+        inherit the patched ``run``; this process must never call it."""
+        import adahedge.simulation as simulation_mod
+
+        parent = os.getpid()
+
+        def die(*args):
+            assert os.getpid() != parent, "run ran in the test process"
+            os._exit(9)
+
+        monkeypatch.setenv("ADAHEDGE_THREADS", "2")
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(simulation_mod, "run", die)
+        path = self.write(tmp_path, VALID.format(out=tmp_path / "out"))
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "error: a pool worker process died running horizon_t = 40 and "
+            "repetitions = 3; lower them or ADAHEDGE_THREADS\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_dry_run_caps_threads_at_cpu_count(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("ADAHEDGE_THREADS", "1000000")
         path = self.write(tmp_path, VALID.format(out=tmp_path / "never"))

@@ -184,6 +184,114 @@ class TestGenerators:
             generate(object(), 10, seed=1)
 
 
+def _splitmix_uniforms(seed: int, n: int) -> np.ndarray:
+    """The whole-array reference: uniform ``i`` (from 1) is the top 53 bits
+    of ``mix64(seed + i * GAMMA)`` over 2**64, with the finalizer spelled out."""
+    x = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    x = x + np.uint64(seed % 2**64)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    x = x ^ (x >> np.uint64(31))
+    return (x >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def _reference_stream(spec, t_total: int, seed: int) -> np.ndarray:
+    """The stream built whole: every draw at once, then every comparison."""
+    if isinstance(spec, IidBernoulli):
+        u = _splitmix_uniforms(seed, t_total * spec.k).reshape(t_total, spec.k)
+        return (u < np.asarray(spec.probs)).astype(np.float64)
+    u = _splitmix_uniforms(seed, 3 * t_total).reshape(t_total, 3)
+    tv = np.arange(1, t_total + 1, dtype=np.float64)
+    q1, q2 = spec.p1 / tv, spec.p2 / tv
+    hard = u[:, 0] < spec.hard_prob
+    loss1 = u[:, 1] < np.where(hard, 1.0 - q1, q1)
+    loss2 = u[:, 2] < np.where(hard, 1.0 - q2, q2)
+    return np.column_stack([loss1, loss2]).astype(np.float64)
+
+
+BLOCK = simulation_mod._BLOCK
+SEEDS = [20110717, -7, 2**64 + 12345]
+
+
+class TestBlockGeneration:
+    """Streams are drawn in blocks of at most ``_BLOCK`` uniforms, written
+    into the output; the bits are those of the stream drawn whole."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("k", [2, 3, 256, 300, BLOCK + 3])  # the last, one row a block
+    def test_iid_bernoulli_equals_the_whole_array_stream(self, k, seed):
+        spec = IidBernoulli(tuple((i % 7 + 1) / 8 for i in range(k)))
+        rows = max(1, BLOCK // k)
+        t_total = 3 * rows + rows // 2 + 1  # three whole blocks and a partial one
+        got = generate(spec, t_total, seed)
+        assert got.tobytes() == _reference_stream(spec, t_total, seed).tobytes()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_correlated_equals_the_whole_array_stream(self, seed):
+        # half the rounds are hard, so both regimes, and losses 0 and 1,
+        # occur in every block
+        spec = Correlated(hard_prob=0.5, p1=0.9, p2=0.6)
+        t_total = 3 * (BLOCK // 3) + 5
+        got = generate(spec, t_total, seed)
+        want = _reference_stream(spec, t_total, seed)
+        assert got.tobytes() == want.tobytes()
+        assert 0 < want[BLOCK // 3 :].sum() < want[BLOCK // 3 :].size
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_uniforms_equal_the_whole_array_stream(self, seed):
+        n = 2 * BLOCK + 3
+        assert unit_uniforms(seed, n).tobytes() == _splitmix_uniforms(seed, n).tobytes()
+
+    @pytest.mark.parametrize(
+        "cuts",
+        [(), (1,), (BLOCK - 1, BLOCK + 1), (5, BLOCK, 2 * BLOCK), (777, 778, 2 * BLOCK - 7)],
+    )
+    def test_uniforms_are_their_blocks_joined(self, cuts):
+        """Any split of the counters draws the same uniforms, block by block."""
+        n = 2 * BLOCK + 9
+        bounds = [0, *cuts, n]
+        for seed in SEEDS:
+            parts = [
+                simulation_mod._uniforms(seed % 2**64, a, np.empty(b - a))
+                for a, b in zip(bounds, bounds[1:])
+            ]
+            assert np.concatenate(parts).tobytes() == unit_uniforms(seed, n).tobytes()
+
+    @pytest.mark.parametrize(
+        "spec, t_total",
+        [(IidBernoulli(tuple(np.linspace(0.1, 0.9, 256))), 2000), (Correlated(), 10**6)],
+        ids=["iid_k256_t2000", "correlated_t1e6"],
+    )
+    def test_peak_is_the_output_and_one_block(self, spec, t_total):
+        """The traced peak is the output plus one block's working set, taken
+        as five arrays of ``_BLOCK`` 8-byte values: the block's counters and
+        one shift of them, and Correlated's uniforms and per-round arrays."""
+        tracemalloc.start()
+        try:
+            out = generate(spec, t_total, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + 5 * BLOCK * 8, (peak, out.nbytes)
+
+    @pytest.mark.parametrize("n", [2**50, 2**63, 2**64, 10**30])
+    def test_uniform_count_too_long_for_one_array_is_named(self, n):
+        with pytest.raises(MemoryError, match=rf"^n = {n} is too long for one array$"):
+            unit_uniforms(0, n)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [IidBernoulli((0.5, 0.5)), Correlated(), FtlKiller()],
+        ids=lambda spec: type(spec).__name__,
+    )
+    @pytest.mark.parametrize("t_total", [2**50, 2**62, 2**64, 10**30])
+    def test_horizon_too_long_for_one_array_is_named(self, spec, t_total):
+        with pytest.raises(
+            MemoryError, match=rf"^horizon_t = {t_total} is too long for one array$"
+        ):
+            generate(spec, t_total, 0)
+
+
 class _FsPath:
     """An ``os.PathLike`` whose ``__fspath__`` gives ``value``, whatever it is."""
 

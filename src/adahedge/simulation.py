@@ -26,9 +26,11 @@ there are at least as many repetitions as workers, else one strategy, so a
 single repetition still keeps every worker busy.  The parent adds each
 strategy's regret, loss and rate arrays into that strategy's sums as they
 arrive, in repetition order, and divides the sums in place into the means.
-Every sum is therefore ``0 + r0 + r1 + ...`` whatever the thread count, and
-aggregate output is byte-identical for every thread count.  The run holds
-the means plus the tasks in flight, never every repetition's arrays.
+Every sum is therefore ``0 + r0 + r1 + ...``, and aggregate output is
+byte-identical, whatever the thread count.  A pool message carries the
+tasks that return up to 1 MiB of arrays, at least one and at most a quarter
+of a worker's share, so the run holds the means plus at most about one
+message of arrays per worker.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from functools import partial
+from multiprocessing import get_all_start_methods, get_context
 from pathlib import Path
 from typing import Optional
 
@@ -71,6 +74,8 @@ _GAMMA = 0x9E3779B97F4A7C15
 # thresholds above the strategy kernel's per-block arrays; at 2**16 those were
 # unmapped and faulted in again every block (84k page faults against 32k at K=256)
 _BLOCK = 2**17
+# workers share the parent's imports and patches; 3.14 makes forkserver Linux's default
+_FORK = get_context("fork") if "fork" in get_all_start_methods() else None
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
@@ -350,18 +355,15 @@ def _kept(trace) -> tuple:
 
 
 def _simulate(config: ExperimentConfig, task: tuple[int, tuple[_Kind, ...]]) -> list[tuple]:
-    """One task: the strategies ``kinds`` on repetition ``rep``'s stream.
-
-    Returns one (regret, cumulative loss, eta, segment starts) tuple per
-    kind; must stay a module-level function so process pools can pickle it.
-    """
+    """One task: ``_kept`` of each of ``kinds`` on repetition ``rep``'s stream;
+    module-level so that process pools can pickle it."""
     rep, kinds = task
     stream = generate(config.generator, config.horizon_t, derive_seed(config.base_seed, rep))
     return [_kept(run(kind, stream)) for kind in kinds]
 
 
-def _fold(result: AggregateResult, counts: dict, kinds, out: list[tuple]) -> None:
-    """Add one task's arrays into the result's running sums, in place.
+def _fold(result: AggregateResult, rep: int, kinds, out: list[tuple]) -> None:
+    """Add repetition ``rep``'s task into the result's running sums, in place.
 
     A strategy's first repetition becomes its sum: ``0.0 + x`` computed
     into ``x`` is, bit for bit, the first step of a sum started from zeros
@@ -375,7 +377,7 @@ def _fold(result: AggregateResult, counts: dict, kinds, out: list[tuple]) -> Non
             else:
                 sums[slug] = np.add(0.0, x, out=x)
         result.segment_events[slug][np.asarray(starts, dtype=np.int64) - 1] += 1
-        counts[slug].append(len(starts))
+        result.segments_started[slug][rep] = len(starts)
 
 
 def run_experiment(
@@ -393,27 +395,26 @@ def run_experiment(
     slugs = config.slugs
 
     # a whole repetition per task, unless that leaves workers idle
-    if reps >= threads:
-        tasks = [(rep, config.strategies) for rep in range(reps)]
-    else:
-        tasks = [(rep, (kind,)) for rep in range(reps) for kind in config.strategies]
+    slices = [config.strategies] if reps >= threads else [(kind,) for kind in config.strategies]
+    tasks = [(rep, kinds) for rep in range(reps) for kinds in slices]
     worker = partial(_simulate, config)
     workers = min(threads, len(tasks))
     if workers == 1:
         results = map(worker, tasks)
         pool = None
     else:  # started before the sums exist, so its forked workers never hold them
-        pool = ProcessPoolExecutor(max_workers=workers)
-        chunk = max(1, -(-len(tasks) // (4 * workers)))
+        pool = ProcessPoolExecutor(max_workers=workers, mp_context=_FORK)
+        task_bytes = 3 * 8 * t_total * len(slices[0])  # three float64 arrays per strategy
+        chunk = max(1, min(2**20 // task_bytes, len(tasks) // (4 * workers)))
         results = pool.map(worker, tasks, chunksize=chunk)
 
     try:
         events = {s: _allocate(np.zeros, t_total, np.int64, "horizon_t", t_total) for s in slugs}
+        started = {s: np.zeros(reps, np.int64) for s in slugs}
         # the three mean dicts gain each strategy's sums at its first task
-        result = AggregateResult(config, {}, {}, {}, events, {})
-        counts = {s: [] for s in slugs}
-        for _, kinds in tasks:  # results arrive in task order
-            _fold(result, counts, kinds, next(results))  # and are freed once folded
+        result = AggregateResult(config, {}, {}, {}, events, started)
+        for rep, kinds in tasks:  # results arrive in task order
+            _fold(result, rep, kinds, next(results))  # and are freed once folded
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
@@ -421,7 +422,6 @@ def run_experiment(
     for means in (result.mean_regret, result.mean_cum_loss, result.mean_eta):
         for sums in means.values():
             sums /= reps
-    result.segments_started = {s: np.asarray(counts[s], dtype=np.int64) for s in slugs}
 
     if config.output_dir is not None:
         from .reports import write_summary_csv, write_trace_csvs
@@ -437,17 +437,15 @@ def segment_statistics(result: AggregateResult, strategy) -> SegmentStats:
     ``strategy`` may be the kind record or its slug; it must name an
     AdaHedge or DoublingHedge entry present in the result.
     """
-    slug = strategy if isinstance(strategy, str) else strategy.slug
+    slug = strategy.slug if isinstance(strategy, _Kind) else strategy
+    if not isinstance(slug, str):
+        raise TypeError(f"strategy must be a strategy kind or its slug, got {_shown(strategy)}")
     for kind in result.config.strategies:
         if kind.slug == slug:
             if not isinstance(kind, (AdaHedge, DoublingHedge)):
                 raise ValueError(f"{slug} is not a restart (doubling-type) strategy")
             counts = result.segments_started[slug]
-            histogram: dict[int, int] = {}
-            for c in counts.tolist():
-                histogram[c] = histogram.get(c, 0) + 1
-            return SegmentStats(
-                mean=float(counts.sum() / len(counts)),
-                histogram=dict(sorted(histogram.items())),
-            )
+            values, freq = np.unique(counts, return_counts=True)  # values come sorted
+            histogram = dict(zip(values.tolist(), freq.tolist()))
+            return SegmentStats(float(counts.sum() / len(counts)), histogram)
     raise ValueError(f"strategy {slug!r} not present in this result")

@@ -494,8 +494,9 @@ def _assert_same_bits(got: dict, want: dict):
 
 class TestFanOut:
     """Tasks are whole repetitions while there are at least as many
-    repetitions as workers, else single strategies; either way every field
-    is the definition's value bit for bit and the files are the same bytes."""
+    repetitions as workers, else single strategies, and a pool message may
+    carry several tasks; either way every field is the definition's value
+    bit for bit and the files are the same bytes."""
 
     def config(self, reps, output_dir=None):
         return ExperimentConfig(
@@ -507,11 +508,12 @@ class TestFanOut:
             output_dir=output_dir,
         )
 
-    @pytest.mark.parametrize("reps", [1, 2, 3])
+    @pytest.mark.parametrize("reps", [1, 2, 3, 40])
     def test_every_field_and_file_is_the_same_at_any_thread_count(
         self, reps, tmp_path, monkeypatch
     ):
-        # four workers split R = 2 and 3 by strategy too, on any machine
+        # four workers split R = 2 and 3 by strategy too, on any machine;
+        # at R = 40 each pool message carries several repetitions
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         want = _reference(self.config(reps))
         files = {}
@@ -607,6 +609,34 @@ class TestFanOut:
         )
         assert peak <= result_bytes + working_set, (peak, result_bytes, working_set)
 
+    def test_two_workers_hold_the_means_and_a_few_tasks(self, monkeypatch):
+        """With more repetitions than four per worker, the parent's traced
+        peak stays within the final result's bytes plus five tasks' returned
+        arrays: about a message held per worker, one being unpickled from its
+        bytes and one being folded.  Each task here returns just under
+        1 MiB, so every message carries one."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        kinds = (FollowTheLeader(), AdaHedge(2.0))
+        cfg = ExperimentConfig(
+            generator=IidBernoulli((0.3, 0.5)),
+            horizon_t=20_000,
+            repetitions=24,
+            strategies=kinds,
+            base_seed=7,
+        )
+        task_bytes = 3 * len(kinds) * cfg.horizon_t * 8
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = run_experiment(cfg, threads=2)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        result_bytes = sum(
+            a.nbytes for field in FIELDS for a in getattr(result, field).values()
+        )
+        assert peak <= result_bytes + 5 * task_bytes, (peak - result_bytes) / task_bytes
+
 
 class TestSegmentStatistics:
     def result(self, reps=5):
@@ -643,3 +673,8 @@ class TestSegmentStatistics:
     def test_rejects_absent_strategy(self):
         with pytest.raises(ValueError, match="not present"):
             segment_statistics(self.result(), "doubling_hedge_phi2")
+
+    @pytest.mark.parametrize("strategy", [None, 5, b"adahedge_phi2", ["adahedge_phi2"]])
+    def test_rejects_what_is_neither_a_kind_nor_a_slug_by_name(self, strategy):
+        with pytest.raises(TypeError, match="^strategy must be a strategy kind or its slug, got "):
+            segment_statistics(self.result(), strategy)

@@ -15,7 +15,14 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-__all__ = ["format_sig", "write_trace_csvs", "write_summary_csv", "write_regret_svg"]
+__all__ = [
+    "format_sig",
+    "trace_path",
+    "write_trace_csv",
+    "write_trace_csvs",
+    "write_summary_csv",
+    "write_regret_svg",
+]
 
 TRACE_HEADER = ["round", "mean_regret", "mean_cum_loss", "mean_eta", "segment_events"]
 SUMMARY_HEADER = [
@@ -48,13 +55,12 @@ def format_sig(x: float) -> str:
     return _SIG % float(x)
 
 
-# Trace cells with their separators, left-justified to the widest text the
-# column's dtype can print: %.9g of a float64 is at most 16 characters
-# (-1.23456789e-100) and %d of an int64 at most 20 (-9223372036854775808).
-# Neither format prints a space, so stripping the padding leaves the csv
-# module's bytes.
+# Trace cells after the round with their separators, left-justified to the
+# widest text the column's dtype can print: %.9g of a float64 is at most 16
+# characters (-1.23456789e-100) and %d of an int64 at most 20
+# (-9223372036854775808).  Neither format prints a space, so stripping the
+# padding leaves the csv module's bytes.
 _TRACE_CELLS = [
-    ("%-20d,", np.int64),
     ("%-16.9g,", np.float64),
     ("%-16.9g,", np.float64),
     ("%-16.9g,", np.float64),
@@ -75,24 +81,45 @@ def _cells(fmt: str, dtype, column) -> np.ndarray:
     return np.frombuffer(text.encode(), np.uint8).reshape(len(values), -1)[inverse]
 
 
+def _round_cells(lo: int, hi: int) -> np.ndarray:
+    """Rounds ``lo + 1`` to ``hi`` and their commas as an (n, width) byte
+    grid, built from the digits; leading zeros become padding spaces."""
+    powers = 10 ** np.arange(len(str(hi)) - 1, -1, -1)
+    rounds = np.arange(lo + 1, hi + 1)[:, None]
+    grid = np.full((hi - lo, len(powers) + 1), ord(","), np.uint8)
+    grid[:, :-1] = rounds // powers % 10 + ord("0")
+    grid[:, :-1][rounds < powers] = ord(" ")
+    return grid
+
+
+def write_trace_csv(path, columns) -> Path:
+    """One trace CSV from a strategy's four columns in ``TRACE_HEADER``
+    order after the round: mean regret, loss and rate, and event counts."""
+    path = Path(path)
+    n = len(columns[0])
+    with open(path, "wb") as fh:
+        fh.write((",".join(TRACE_HEADER) + "\r\n").encode())
+        for lo in range(0, n, _BLOCK):
+            hi = min(lo + _BLOCK, n)
+            cells = [_cells(*cell, c[lo:hi]) for cell, c in zip(_TRACE_CELLS, columns)]
+            grid = np.hstack([_round_cells(lo, hi), *cells])
+            fh.write(grid[grid != ord(" ")])
+    return path
+
+
+def trace_path(outdir, slug: str) -> Path:
+    """Where strategy ``slug``'s trace CSV goes in ``outdir``."""
+    return Path(outdir) / f"trace_{slug}.csv"
+
+
 def write_trace_csvs(result, outdir) -> list[Path]:
     """One trace_<strategy>.csv per roster entry; returns the paths."""
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    Path(outdir).mkdir(parents=True, exist_ok=True)
     paths = []
     for slug in result.slugs:
-        path = outdir / f"trace_{slug}.csv"
         # each header name after "round" is the result's column of that name
         columns = [getattr(result, name)[slug] for name in TRACE_HEADER[1:]]
-        n = len(columns[0])
-        with open(path, "wb") as fh:
-            fh.write((",".join(TRACE_HEADER) + "\r\n").encode())
-            for lo in range(0, n, _BLOCK):
-                hi = min(lo + _BLOCK, n)
-                block = [np.arange(lo + 1, hi + 1), *(c[lo:hi] for c in columns)]
-                grid = np.hstack([_cells(*cell, c) for cell, c in zip(_TRACE_CELLS, block)])
-                fh.write(grid[grid != ord(" ")])
-        paths.append(path)
+        paths.append(write_trace_csv(trace_path(outdir, slug), columns))
     return paths
 
 

@@ -31,10 +31,19 @@ byte-identical, whatever the thread count.  A pool message carries the
 tasks that return up to 1 MiB of arrays, at least one and at most a quarter
 of a worker's share, so the run holds the means plus at most about one
 message of arrays per worker.
+
+The sums and event counts of every strategy live in one shared anonymous
+mapping made before the pool forks.  As soon as a strategy's sums are
+final, a pool worker writes its trace CSV from the mapping it inherited,
+while the other strategies still compute; with one worker, or where the
+platform cannot fork, the parent writes the traces after the merge.
 """
 
 from __future__ import annotations
 
+import errno
+import math
+import mmap
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
@@ -100,8 +109,17 @@ def _allocate(make, shape, dtype, name: str, value: int) -> np.ndarray:
     """``make(shape, dtype)``, or a MemoryError naming the size that asked for it."""
     try:
         return make(shape, dtype)
-    except (ValueError, MemoryError):  # a size numpy cannot address, or bytes the OS lacks
+    # a size numpy or mmap cannot address, or bytes the OS lacks
+    except (ValueError, OverflowError, MemoryError, OSError) as exc:
+        if isinstance(exc, OSError) and exc.errno != errno.ENOMEM:
+            raise
         raise MemoryError(f"{name} = {value} is too long for one array") from None
+
+
+def _shared(shape, dtype) -> np.ndarray:
+    """Zeros in an anonymous shared mapping, which forked workers inherit."""
+    region = mmap.mmap(-1, math.prod(shape) * np.dtype(dtype).itemsize)
+    return np.frombuffer(region, dtype).reshape(shape)
 
 
 def _uniforms(seed: int, start: int, out: np.ndarray) -> np.ndarray:
@@ -365,19 +383,38 @@ def _simulate(config: ExperimentConfig, task: tuple[int, tuple[_Kind, ...]]) -> 
 def _fold(result: AggregateResult, rep: int, kinds, out: list[tuple]) -> None:
     """Add repetition ``rep``'s task into the result's running sums, in place.
 
-    A strategy's first repetition becomes its sum: ``0.0 + x`` computed
-    into ``x`` is, bit for bit, the first step of a sum started from zeros
-    (it turns -0.0 into 0.0), without a zero-filled array beside it.
+    The sums start as the mapping's zeros, so each is ``0 + r0 + r1 + ...``
+    bit for bit (the first step turns -0.0 into 0.0).
     """
     for kind, (*arrays, starts) in zip(kinds, out):
         slug = kind.slug
         for sums, x in zip((result.mean_regret, result.mean_cum_loss, result.mean_eta), arrays):
-            if slug in sums:
-                sums[slug] += x
-            else:
-                sums[slug] = np.add(0.0, x, out=x)
+            sums[slug] += x
         result.segment_events[slug][np.asarray(starts, dtype=np.int64) - 1] += 1
         result.segments_started[slug][rep] = len(starts)
+
+
+def _columns(sums: np.ndarray) -> tuple:
+    """One strategy's ``(4, T)`` rows of the mapping as its four trace columns:
+    regret, cumulative loss and rate sums, and the int64 event counts."""
+    return (*sums[:3], sums[3].view(np.int64))
+
+
+_inherited = None  # in a pool worker, the parent's mapping of sums
+
+
+def _inherit(region: np.ndarray) -> None:
+    """Pool initializer; a forked worker gets ``region`` by inheritance, unpickled."""
+    global _inherited
+    _inherited = region
+
+
+def _write_trace(path: Path, index: int) -> None:
+    """Worker job: strategy ``index``'s trace CSV, read from the mapping
+    inherited at fork; module-level so that process pools can pickle it."""
+    from .reports import write_trace_csv
+
+    write_trace_csv(path, _columns(_inherited[index]))
 
 
 def run_experiment(
@@ -393,41 +430,60 @@ def run_experiment(
     reps = config.repetitions
     t_total = config.horizon_t
     slugs = config.slugs
+    outdir = config.output_dir
+
+    # every strategy's three sums and event counts, before any worker forks
+    region = _allocate(_shared, (len(slugs), 4, t_total), np.float64, "horizon_t", t_total)
+    columns = zip(*map(_columns, region))  # each field's column of every strategy
+    result = AggregateResult(
+        config,
+        *(dict(zip(slugs, field)) for field in columns),
+        {s: np.zeros(reps, np.int64) for s in slugs},
+    )
 
     # a whole repetition per task, unless that leaves workers idle
     slices = [config.strategies] if reps >= threads else [(kind,) for kind in config.strategies]
     tasks = [(rep, kinds) for rep in range(reps) for kinds in slices]
     worker = partial(_simulate, config)
     workers = min(threads, len(tasks))
+    # forked workers write the traces from the mapping; otherwise the parent does
+    pool_writes = workers > 1 and _FORK is not None and outdir is not None
+    if outdir is not None:  # looked up per call, and loaded before workers fork
+        from .reports import trace_path, write_summary_csv, write_trace_csvs
     if workers == 1:
         results = map(worker, tasks)
         pool = None
-    else:  # started before the sums exist, so its forked workers never hold them
-        pool = ProcessPoolExecutor(max_workers=workers, mp_context=_FORK)
+    else:
+        inherit = {"initializer": _inherit, "initargs": (region,)} if pool_writes else {}
+        pool = ProcessPoolExecutor(max_workers=workers, mp_context=_FORK, **inherit)
         task_bytes = 3 * 8 * t_total * len(slices[0])  # three float64 arrays per strategy
         chunk = max(1, min(2**20 // task_bytes, len(tasks) // (4 * workers)))
         results = pool.map(worker, tasks, chunksize=chunk)
 
+    writes = []
     try:
-        events = {s: _allocate(np.zeros, t_total, np.int64, "horizon_t", t_total) for s in slugs}
-        started = {s: np.zeros(reps, np.int64) for s in slugs}
-        # the three mean dicts gain each strategy's sums at its first task
-        result = AggregateResult(config, {}, {}, {}, events, started)
         for rep, kinds in tasks:  # results arrive in task order
             _fold(result, rep, kinds, next(results))  # and are freed once folded
+            if rep < reps - 1:
+                continue
+            for kind in kinds:  # the strategy's sums are final
+                index = slugs.index(kind.slug)
+                region[index, :3] /= reps
+                if pool_writes:
+                    if not writes:
+                        outdir.mkdir(parents=True, exist_ok=True)
+                    path = trace_path(outdir, kind.slug)
+                    writes.append(pool.submit(_write_trace, path, index))
+        for write in writes:
+            write.result()
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
 
-    for means in (result.mean_regret, result.mean_cum_loss, result.mean_eta):
-        for sums in means.values():
-            sums /= reps
-
-    if config.output_dir is not None:
-        from .reports import write_summary_csv, write_trace_csvs
-
-        write_trace_csvs(result, config.output_dir)
-        write_summary_csv(result, config.output_dir)
+    if outdir is not None:
+        if not pool_writes:
+            write_trace_csvs(result, outdir)
+        write_summary_csv(result, outdir)
     return result
 
 

@@ -379,7 +379,13 @@ class TestReportWriters:
         for name, text in self.reference(result).items():
             assert (outdir / name).read_bytes() == text.encode(), name
 
-    @pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+    # the round column's width grows at 9/10, 99/100, 999/1000 and
+    # 9999/10000, inside a block and across its edges
+    @pytest.mark.parametrize(
+        "n",
+        [1, 9, 10, 11, 99, 100, 101, 999, 1000, 1001]
+        + [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3, 10**4 + 1],
+    )
     def test_block_edges_match_csv_module(self, n, tmp_path):
         rng = np.random.default_rng(n)
         regret = rng.normal(0.0, 100.0, n)
@@ -484,11 +490,16 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "horizon_t = 100000000000" in err and "repetitions = 3" in err
 
-    @pytest.mark.parametrize("horizon", ["100000000000000000000", "4611686018427387904"])
+    @pytest.mark.parametrize(
+        "horizon", ["100000000000000000000", "4611686018427387904", "35184372088832"]
+    )
     def test_horizon_numpy_cannot_address_names_the_sizes(
         self, tmp_path, capsys, monkeypatch, horizon
     ):
-        """numpy refuses arrays of these lengths before allocating anything."""
+        """The shared mapping of the sums refuses these lengths before
+        anything is allocated: the first two do not fit ``mmap``'s size, and
+        the third (2**45 rounds, 3 PB of sums) is past the address space, which
+        the OS refuses as out of memory."""
         monkeypatch.setenv("ADAHEDGE_THREADS", "1")
         text = VALID.format(out=tmp_path / "out").replace(
             "horizon_t = 40", f"horizon_t = {horizon}"
@@ -672,6 +683,21 @@ class TestRunCommand:
         path = self.write(tmp_path, VALID.format(out=tmp_path / "file" / "out"))
         assert main(["run", str(path)]) == 3
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_trace_a_worker_cannot_write_is_one_io_error_line(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """A pool worker's failed trace write reaches the CLI as the OSError
+        it raised: exit 3, one line, no traceback."""
+        monkeypatch.setenv("ADAHEDGE_THREADS", "2")
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        out = tmp_path / "out"
+        (out / "trace_ftl.csv").mkdir(parents=True)
+        path = self.write(tmp_path, VALID.format(out=out))
+        assert main(["run", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "trace_ftl.csv" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestBoundsCommand:

@@ -492,6 +492,19 @@ def _assert_same_bits(got: dict, want: dict):
         assert got[slug].tobytes() == want[slug].tobytes(), slug
 
 
+def _assert_in_one_mapping(result):
+    """Every sum and event count is a view of one mapping of 4 * 8 * S * T
+    bytes, which tracemalloc does not see."""
+    regions = set()
+    for field in FIELDS[:4]:
+        for a in getattr(result, field).values():
+            while isinstance(a, np.ndarray):
+                a = a.base
+            regions.add(id(a.obj))
+            assert len(a.obj) == 4 * 8 * len(result.slugs) * result.horizon
+    assert len(regions) == 1
+
+
 class TestFanOut:
     """Tasks are whole repetitions while there are at least as many
     repetitions as workers, else single strategies, and a pool message may
@@ -573,9 +586,9 @@ class TestFanOut:
         assert args[0] is result and args[1] == tmp_path and not kwargs
 
     def test_holds_the_means_and_one_repetition(self):
-        """At one thread the traced peak stays within the final result's
-        bytes plus one repetition's working set: its stream, the costliest
-        single ``run`` and the three kept arrays of every strategy."""
+        """At one thread the traced peak stays within one repetition's
+        working set: its stream, the costliest single ``run`` and the three
+        kept arrays of every strategy.  The means live in the mapping."""
         kinds = (
             FollowTheLeader(), OracleHedge(), DoublingHedge(2.0), AdaHedge(2.0), VariableHedge()
         )
@@ -604,17 +617,15 @@ class TestFanOut:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        result_bytes = sum(
-            a.nbytes for field in FIELDS for a in getattr(result, field).values()
-        )
-        assert peak <= result_bytes + working_set, (peak, result_bytes, working_set)
+        assert peak <= working_set, (peak, working_set)
+        _assert_in_one_mapping(result)
 
     def test_two_workers_hold_the_means_and_a_few_tasks(self, monkeypatch):
         """With more repetitions than four per worker, the parent's traced
-        peak stays within the final result's bytes plus five tasks' returned
-        arrays: about a message held per worker, one being unpickled from its
-        bytes and one being folded.  Each task here returns just under
-        1 MiB, so every message carries one."""
+        peak stays within five tasks' returned arrays: about a message held
+        per worker, one being unpickled from its bytes and one being folded.
+        Each task here returns just under 1 MiB, so every message carries
+        one.  The means live in the mapping."""
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         kinds = (FollowTheLeader(), AdaHedge(2.0))
         cfg = ExperimentConfig(
@@ -632,10 +643,28 @@ class TestFanOut:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        result_bytes = sum(
-            a.nbytes for field in FIELDS for a in getattr(result, field).values()
-        )
-        assert peak <= result_bytes + 5 * task_bytes, (peak - result_bytes) / task_bytes
+        assert peak <= 5 * task_bytes, peak / task_bytes
+        _assert_in_one_mapping(result)
+
+    @pytest.mark.parametrize("reps", [1, 40])
+    def test_pool_workers_write_the_traces(self, reps, tmp_path, monkeypatch):
+        """At two workers each trace is written once, by a forked worker,
+        which inherits the patched writer; this process writes none."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        log = tmp_path / "writers.log"
+        write = reports_mod.write_trace_csv
+
+        def recorded(path, columns):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {path.name}\n")
+            return write(path, columns)
+
+        monkeypatch.setattr(reports_mod, "write_trace_csv", recorded)
+        cfg = self.config(reps, tmp_path / "out")
+        run_experiment(cfg, threads=2)
+        calls = [line.split() for line in log.read_text().splitlines()]
+        assert sorted(name for _, name in calls) == sorted(f"trace_{s}.csv" for s in cfg.slugs)
+        assert all(int(pid) != os.getpid() for pid, _ in calls)
 
 
 class TestSegmentStatistics:

@@ -8,11 +8,12 @@ one contract:
 
 - ``+ - * /``, ``min``, compares and masks run in numpy, which rounds them
   as Python does;
-- every ``exp``/``log``/``expm1``/``log1p`` is the ``math`` function,
-  because numpy's vectorised transcendentals may differ from the C
-  library's in the last bit; it is evaluated once per distinct bit pattern
-  in the block and the results gathered back, so each element gets the
-  bits a call on that element gives;
+- every ``exp``/``log``/``expm1``/``log1p`` gives the bits of the ``math``
+  function, because numpy's real vectorised transcendentals may differ
+  from the C library's in the last bit.  ``exp`` runs as numpy's complex
+  ``exp`` on a zero imaginary part, which is the C library's ``cexp``
+  (``_exp``); the other three call the ``math`` function once per distinct
+  bit pattern in the block and gather the results back (``_map``);
 - every sum over actions adds in sequence from 0.0, as the scalar loops do,
   never with ``np.sum``, whose pairwise order rounds differently.
 
@@ -327,10 +328,27 @@ def _map(fn, x: np.ndarray) -> np.ndarray:
     """The scalar ``math`` function ``fn`` applied to every element of the
     float64 array ``x``: called once per distinct bit pattern, then gathered
     back into ``x``'s shape.  Keying on bits keeps ``-0.0`` apart from
-    ``0.0`` and one NaN payload apart from another."""
+    ``0.0`` and one NaN payload apart from another, so a NaN keeps its
+    payload where ``fn`` does.  The kernels map ``log``, ``expm1`` and
+    ``log1p`` through it; ``exp`` goes through ``_exp``."""
     bits, inverse = np.unique(x.view(np.int64), return_inverse=True)
     values = np.fromiter(map(fn, bits.view(np.float64).tolist()), np.float64, bits.size)
     return values[inverse].reshape(x.shape)
+
+
+def _exp(x: np.ndarray) -> np.ndarray:
+    """``math.exp`` of every element of the float64 array ``x``, bit for bit
+    for every element up to 709, in one numpy call and without deduplication.
+
+    numpy's complex ``exp`` calls the C library's ``cexp``, which for a zero
+    imaginary part returns ``exp(x) * cos 0``, the bits of ``exp(x)`` (C99
+    Annex G).  Above 709 glibc's ``cexp`` scales by ``exp(709)`` and may
+    round the last bit differently; no kernel argument is positive.  A NaN
+    comes out as the canonical NaN, its payload not kept as ``_map`` keeps
+    it; no kernel argument is a NaN, since ``as_loss_array`` refuses
+    non-finite losses and every rate is checked finite."""
+    # a copy, so the complex buffer is freed here, not kept by a view
+    return np.exp(x, dtype=np.complex128).real.copy()
 
 
 def _action_sums(x: np.ndarray) -> np.ndarray:
@@ -345,7 +363,7 @@ def block_log_weights(totals: np.ndarray, eta) -> np.ndarray:
     """``log_weights_from_totals`` for every column of ``totals`` (K, rows);
     ``eta`` is one rate or one per column."""
     scaled = -eta * (totals - totals.min(axis=0))
-    return scaled - _map(math.log, _action_sums(_map(math.exp, scaled)))
+    return scaled - _map(math.log, _action_sums(_exp(scaled)))
 
 
 def block_hedge_and_mix_loss(

@@ -41,8 +41,8 @@ from .core import (
     _check_int,
     _check_real,
     _coerce_losses,
+    _exp,
     _in_order,
-    _map,
     block_hedge_and_mix_loss,
     block_log_weights,
     hedge_and_mix_loss,
@@ -430,7 +430,7 @@ def run(kind: _Kind, losses) -> RegretTrace:
             rate = state._variable_rate(best[:n]) if variable else state.eta
             with np.errstate(over="ignore"):  # a huge eta * total is -inf, as in floats
                 log_w = block_log_weights(seg_tot[:, :n], rate)
-                weights = _map(math.exp, log_w)
+                weights = _exp(log_w)
                 if t == 0:  # the first round plays what the fresh state plays
                     weights[:, 0] = state.weights
                 played, mix = block_hedge_and_mix_loss(weights, block, rate, log_w)

@@ -29,6 +29,7 @@ from .core import (
     CumulativeLoss,
     WeightSnapshot,
     _check_int,
+    _exp,
     _map,
     block_hedge_and_mix_loss,
     log_marginal_likelihood,
@@ -108,7 +109,7 @@ def _block_gaps(ws: np.ndarray, losses: np.ndarray, etas: np.ndarray):
     lw = np.full(ws.shape, -math.inf)
     live = ws > 0.0
     lw[live] = _map(math.log, (ws / totals[:, None])[live])
-    w = _map(math.exp, lw)
+    w = _exp(lw)
     hedge, mix = block_hedge_and_mix_loss(w.T, losses.T, etas, lw.T)
     return hedge - mix, w.max(axis=1)
 

@@ -5,6 +5,7 @@ digits before being frozen here.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from adahedge.core import (
     CumulativeLoss,
     RoundReport,
     WeightSnapshot,
+    _action_sums,
+    _exp,
     _map,
     hedge_weights,
     log_marginal_likelihood,
@@ -437,6 +440,72 @@ class TestMap:
         x = np.array(values, dtype=np.float64).reshape(-1, 1)
         for fn in (math.exp, math.expm1):
             self.assert_same(fn, x)
+
+
+class TestExp:
+    """``_exp`` gives the bits of ``math.exp`` on every element up to 709,
+    the range the kernels' non-positive arguments lie in."""
+
+    def assert_same(self, x):
+        got = _exp(x)
+        want = map_per_element(math.exp, x)
+        assert got.dtype == np.float64 and got.shape == x.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_random_non_positive_bit_patterns(self):
+        bits = np.random.default_rng(11).integers(0, 2**63, 10**6, dtype=np.uint64)
+        x = (bits | np.uint64(1 << 63)).view(np.float64)
+        self.assert_same(x[~np.isnan(x)])
+
+    def test_special_values_and_edge_bands(self):
+        special = TestMap.SPECIAL[~np.isnan(TestMap.SPECIAL)]
+        subnormal_results = np.linspace(-745.2, -708.3, 20_001)  # and 0.0 below -745.13
+        positives = np.append(np.linspace(0.0, 709.0, 20_001), np.nextafter(709.0, 0.0))
+        self.assert_same(np.concatenate([special, subnormal_results, positives]))
+
+    def test_views_empty_and_zero_d(self):
+        x = np.random.default_rng(12).uniform(-40.0, 5.0, (5, 7))
+        self.assert_same(x.T)
+        self.assert_same(x[::2, 1::3])
+        self.assert_same(np.empty((4, 0)))
+        self.assert_same(np.array(-0.0))
+
+    def test_kernel_arguments_raise_no_warning(self):
+        x = np.array([-math.inf, -0.0, 0.0, -800.0, -1e308, -5e-324])
+        with warnings.catch_warnings(), np.errstate(all="warn", under="ignore"):
+            warnings.simplefilter("error")
+            out = _exp(x)
+        assert out.tolist() == [0.0, 1.0, 1.0, 0.0, 0.0, 1.0]
+
+    @given(st.lists(st.floats(allow_nan=False, max_value=709.0), max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_math_exp(self, values):
+        self.assert_same(np.array(values, dtype=np.float64))
+
+
+class TestActionSums:
+    """``_action_sums`` adds the rows one at a time from 0.0, whatever the
+    memory layout.  ``np.add.reduce(x, axis=0, initial=0.0)`` is no
+    substitute: its order follows the layout, and it differs on ``(256, 1)``
+    blocks and on Fortran-order ones."""
+
+    @staticmethod
+    def in_sequence(x):
+        acc = [0.0] * x.shape[1]
+        for row in x.tolist():
+            acc = [a + v for a, v in zip(acc, row)]
+        return np.array(acc)
+
+    @pytest.mark.parametrize("shape, order", [((256, 1), "C"), ((256, 33), "F")])
+    def test_rows_added_in_sequence_from_zero(self, shape, order):
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            x = rng.uniform(-1.0, 1.0, shape) * 10.0 ** rng.integers(-12, 13, shape)
+            x = np.asarray(x, order=order)
+            assert _action_sums(x).tobytes() == self.in_sequence(x).tobytes()
+
+    def test_negative_zeros_sum_to_zero(self):
+        assert _action_sums(np.full((3, 2), -0.0)).tobytes() == bytes(16)
 
 
 @st.composite

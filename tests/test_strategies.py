@@ -16,6 +16,7 @@ from adahedge.core import (
     hedge_and_mix_loss,
     hedge_weights,
 )
+import adahedge.core as core_mod
 import adahedge.strategies as strategies_mod
 from adahedge.simulation import FtlKiller, IidBernoulli, generate, unit_uniforms
 from adahedge.strategies import (
@@ -504,6 +505,25 @@ class TestGoldenTraces:
         }
         want = {key: GOLDEN_DIGESTS[key] for key in got}
         assert got == want
+
+
+def test_k256_goldens_catch_a_real_numpy_exp(monkeypatch):
+    """A planted fault: the kernels' ``exp`` as numpy's real ``np.exp``, whose
+    SIMD loops round some results differently from ``math.exp``.  The K = 256
+    golden traces must change wherever the two differ on a probe."""
+    probe = -np.random.default_rng(14).exponential(5.0, 10**5)
+    if np.exp(probe).tobytes() == np.array([math.exp(v) for v in probe.tolist()]).tobytes():
+        pytest.skip("numpy's real exp gives math.exp's bits on the probe on this host")
+    monkeypatch.setattr(core_mod, "_exp", np.exp)
+    monkeypatch.setattr(strategies_mod, "_exp", np.exp)
+    changed = [
+        (family, kind.slug)
+        for family in ("uniform", "bernoulli")
+        for kind in GOLDEN_KINDS
+        if trace_digest(run(kind, golden_stream(family, 256)))
+        != GOLDEN_DIGESTS[(family, 256, kind.slug)]
+    ]
+    assert changed
 
 
 class TestLargeEta:

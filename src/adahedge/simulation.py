@@ -19,24 +19,20 @@ blocks of rows written straight into its ``(T, K)`` array, each block
 drawing its own run of counters.  Generation holds the stream plus one
 block, and the stream's bits do not depend on the block size.
 
-``run_experiment`` may fan its work out over a process pool capped by the
-``ADAHEDGE_THREADS`` environment variable and by the CPU count.  A task is
-one repetition's stream and a slice of the roster: the whole roster while
-there are at least as many repetitions as workers, else one strategy, so a
-single repetition still keeps every worker busy.  The parent adds each
-strategy's regret, loss and rate arrays into that strategy's sums as they
-arrive, in repetition order, and divides the sums in place into the means.
-Every sum is therefore ``0 + r0 + r1 + ...``, and aggregate output is
-byte-identical, whatever the thread count.  A pool message carries the
-tasks that return up to 1 MiB of arrays, at least one and at most a quarter
-of a worker's share, so the run holds the means plus at most about one
-message of arrays per worker.
-
-The sums and event counts of every strategy live in one shared anonymous
-mapping made before the pool forks.  As soon as a strategy's sums are
-final, a pool worker writes its trace CSV from the mapping it inherited,
-while the other strategies still compute; with one worker, or where the
-platform cannot fork, the parent writes the traces after the merge.
+``run_experiment`` averages each strategy's traces over the repetitions.
+One process makes a strategy's means from start to finish: it generates
+the streams in repetition order, adds each run's regret, loss and rate
+arrays into the strategy's sums, and divides the sums in place into the
+means.  Every sum is therefore ``0 + r0 + r1 + ...``, and aggregate output
+is byte-identical, whatever the thread count.  The sums, event counts and
+segment counts live in shared anonymous mappings made before any worker
+forks.  With more than one worker, a process pool capped by the
+``ADAHEDGE_THREADS`` environment variable and by the CPU count runs one
+task per strategy, so ``min(threads, strategies)`` run at once.  A task
+carries only a strategy index and a trace path; the worker writes into the
+mappings it inherited and then writes that strategy's trace CSV.  With one
+worker or one strategy, or where the platform cannot fork, this process
+does it all and writes the traces at the end.
 """
 
 from __future__ import annotations
@@ -47,13 +43,13 @@ import mmap
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
-from functools import partial
 from multiprocessing import get_all_start_methods, get_context
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
+from . import reports
 from .core import _check_int, _check_real, _in_order, _shown
 from .strategies import AdaHedge, DoublingHedge, _Kind, run
 
@@ -367,64 +363,71 @@ def _resolve_threads(threads: Optional[int]) -> int:
     return min(threads, os.cpu_count() or 1)
 
 
-def _kept(trace) -> tuple:
-    """The parts of a trace the merge reads; the rest is freed with it."""
-    return trace.regret, trace.cum_agent_loss, trace.eta, tuple(trace.segment_starts)
-
-
-def _simulate(config: ExperimentConfig, task: tuple[int, tuple[_Kind, ...]]) -> list[tuple]:
-    """One task: ``_kept`` of each of ``kinds`` on repetition ``rep``'s stream;
-    module-level so that process pools can pickle it."""
-    rep, kinds = task
-    stream = generate(config.generator, config.horizon_t, derive_seed(config.base_seed, rep))
-    return [_kept(run(kind, stream)) for kind in kinds]
-
-
-def _fold(result: AggregateResult, rep: int, kinds, out: list[tuple]) -> None:
-    """Add repetition ``rep``'s task into the result's running sums, in place.
-
-    The sums start as the mapping's zeros, so each is ``0 + r0 + r1 + ...``
-    bit for bit (the first step turns -0.0 into 0.0).
-    """
-    for kind, (*arrays, starts) in zip(kinds, out):
-        slug = kind.slug
-        for sums, x in zip((result.mean_regret, result.mean_cum_loss, result.mean_eta), arrays):
-            sums[slug] += x
-        result.segment_events[slug][np.asarray(starts, dtype=np.int64) - 1] += 1
-        result.segments_started[slug][rep] = len(starts)
-
-
 def _columns(sums: np.ndarray) -> tuple:
     """One strategy's ``(4, T)`` rows of the mapping as its four trace columns:
     regret, cumulative loss and rate sums, and the int64 event counts."""
     return (*sums[:3], sums[3].view(np.int64))
 
 
-_inherited = None  # in a pool worker, the parent's mapping of sums
+def _accumulate(
+    config: ExperimentConfig, region: np.ndarray, counts: np.ndarray, indices
+) -> None:
+    """The means of roster entries ``indices``, made in their rows of ``region``.
+
+    Repetition by repetition, each entry's run on the stream is added into its
+    sums and event counts, and its segment count goes to ``counts[i, rep]``.
+    The sums start as the mapping's zeros, so each is ``0 + r0 + r1 + ...``
+    bit for bit (the first step turns -0.0 into 0.0), then is divided by R.
+    """
+    reps = config.repetitions
+    for rep in range(reps):
+        stream = generate(config.generator, config.horizon_t, derive_seed(config.base_seed, rep))
+        for i in indices:
+            trace = run(config.strategies[i], stream)
+            regret, loss, eta, events = _columns(region[i])
+            regret += trace.regret
+            loss += trace.cum_agent_loss
+            eta += trace.eta
+            events[np.asarray(trace.segment_starts, dtype=np.int64) - 1] += 1
+            counts[i, rep] = len(trace.segment_starts)
+            del trace  # before the next run
+        del stream  # before the next stream
+    for i in indices:
+        region[i, :3] /= reps
 
 
-def _inherit(region: np.ndarray) -> None:
-    """Pool initializer; a forked worker gets ``region`` by inheritance, unpickled."""
+_inherited = None  # in a pool worker, the parent's config and mappings
+
+
+def _inherit(*shared) -> None:
+    """Pool initializer; a forked worker gets ``shared`` by inheritance, unpickled."""
     global _inherited
-    _inherited = region
+    _inherited = shared
 
 
-def _write_trace(path: Path, index: int) -> None:
-    """Worker job: strategy ``index``'s trace CSV, read from the mapping
-    inherited at fork; module-level so that process pools can pickle it."""
-    from .reports import write_trace_csv
-
-    write_trace_csv(path, _columns(_inherited[index]))
+def _strategy(index: int, path: Optional[Path]) -> None:
+    """Worker job: roster entry ``index``'s means in the inherited mapping,
+    then its trace CSV at ``path`` if there is one; module-level so that
+    process pools can pickle it."""
+    config, region, counts = _inherited
+    _accumulate(config, region, counts, (index,))
+    if path is not None:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        reports.write_trace_csv(path, _columns(region[index]))
 
 
 def run_experiment(
     config: ExperimentConfig, *, threads: Optional[int] = None
 ) -> AggregateResult:
-    """All repetitions of an experiment, merged in repetition order.
+    """All repetitions of an experiment, averaged per strategy.
 
-    The merge order (and therefore every float in the output) does not
-    depend on ``threads``; the pool only changes wall-clock time.  When
-    ``config.output_dir`` is set, trace and summary CSVs are written there.
+    One process makes each strategy's means from start to finish: this one
+    for every strategy, or, with more than one worker, one pool worker per
+    strategy, so at most ``min(threads, strategies)`` run at once.  A worker
+    is sent only a strategy index and a trace path; its sums go to a shared
+    mapping.  Every float in the output is therefore the same at any
+    ``threads``.  When ``config.output_dir`` is set, trace and summary CSVs
+    are written there, each trace by the process that made its means.
     """
     threads = _resolve_threads(threads)
     reps = config.repetitions
@@ -432,58 +435,37 @@ def run_experiment(
     slugs = config.slugs
     outdir = config.output_dir
 
-    # every strategy's three sums and event counts, before any worker forks
+    # every strategy's three sums and event counts, and its segment counts,
+    # before any worker forks
     region = _allocate(_shared, (len(slugs), 4, t_total), np.float64, "horizon_t", t_total)
+    counts = _allocate(_shared, (len(slugs), reps), np.int64, "repetitions", reps)
     columns = zip(*map(_columns, region))  # each field's column of every strategy
     result = AggregateResult(
         config,
         *(dict(zip(slugs, field)) for field in columns),
-        {s: np.zeros(reps, np.int64) for s in slugs},
+        dict(zip(slugs, counts)),
     )
 
-    # a whole repetition per task, unless that leaves workers idle
-    slices = [config.strategies] if reps >= threads else [(kind,) for kind in config.strategies]
-    tasks = [(rep, kinds) for rep in range(reps) for kinds in slices]
-    worker = partial(_simulate, config)
-    workers = min(threads, len(tasks))
-    # forked workers write the traces from the mapping; otherwise the parent does
-    pool_writes = workers > 1 and _FORK is not None and outdir is not None
-    if outdir is not None:  # looked up per call, and loaded before workers fork
-        from .reports import trace_path, write_summary_csv, write_trace_csvs
-    if workers == 1:
-        results = map(worker, tasks)
-        pool = None
+    workers = min(threads, len(slugs))
+    if workers == 1 or _FORK is None:
+        _accumulate(config, region, counts, range(len(slugs)))
+        if outdir is not None:
+            reports.write_trace_csvs(result, outdir)
     else:
-        inherit = {"initializer": _inherit, "initargs": (region,)} if pool_writes else {}
-        pool = ProcessPoolExecutor(max_workers=workers, mp_context=_FORK, **inherit)
-        task_bytes = 3 * 8 * t_total * len(slices[0])  # three float64 arrays per strategy
-        chunk = max(1, min(2**20 // task_bytes, len(tasks) // (4 * workers)))
-        results = pool.map(worker, tasks, chunksize=chunk)
-
-    writes = []
-    try:
-        for rep, kinds in tasks:  # results arrive in task order
-            _fold(result, rep, kinds, next(results))  # and are freed once folded
-            if rep < reps - 1:
-                continue
-            for kind in kinds:  # the strategy's sums are final
-                index = slugs.index(kind.slug)
-                region[index, :3] /= reps
-                if pool_writes:
-                    if not writes:
-                        outdir.mkdir(parents=True, exist_ok=True)
-                    path = trace_path(outdir, kind.slug)
-                    writes.append(pool.submit(_write_trace, path, index))
-        for write in writes:
-            write.result()
-    finally:
-        if pool is not None:
+        paths = [None if outdir is None else reports.trace_path(outdir, s) for s in slugs]
+        pool = ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=_FORK,
+            initializer=_inherit,
+            initargs=(config, region, counts),
+        )
+        try:
+            list(pool.map(_strategy, range(len(slugs)), paths))
+        finally:  # a failed task cancels those not yet started
             pool.shutdown(cancel_futures=True)
 
     if outdir is not None:
-        if not pool_writes:
-            write_trace_csvs(result, outdir)
-        write_summary_csv(result, outdir)
+        reports.write_summary_csv(result, outdir)
     return result
 
 

@@ -509,6 +509,20 @@ class TestRunCommand:
         assert err.startswith("error: ") and f"horizon_t = {horizon}" in err
         assert not (tmp_path / "out").exists()
 
+    def test_repetitions_numpy_cannot_address_are_one_error_line(self, tmp_path, capsys):
+        """The shared mapping of the segment counts refuses 2**62 of them
+        before anything runs."""
+        reps = 4611686018427387904
+        text = VALID.format(out=tmp_path / "out")
+        text = text.replace("horizon_t = 40", "horizon_t = 10")
+        text = text.replace("repetitions = 3", f"repetitions = {reps}")
+        assert main(["run", str(self.write(tmp_path, text))]) == 2
+        assert capsys.readouterr().err == (
+            f"error: out of memory for horizon_t = 10 and repetitions = {reps}; "
+            "lower horizon_t or repetitions\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_dead_pool_worker_is_one_error_line(self, tmp_path, capsys, monkeypatch):
         """A worker that exits abruptly breaks the pool. The forked workers
         inherit the patched ``run``; this process must never call it."""

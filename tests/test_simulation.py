@@ -600,6 +600,39 @@ class TestFanOut:
         (args, kwargs), = written
         assert args[0] is result and args[1] == tmp_path and not kwargs
 
+    def test_without_fork_runs_in_this_process_at_any_thread_count(
+        self, tmp_path, monkeypatch
+    ):
+        """Where the platform cannot fork there is no pool: at two threads
+        this process makes every strategy's means and writes the traces in
+        one call, with the same bits and bytes as at one thread."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(simulation_mod, "_FORK", None)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was made without fork")
+
+        monkeypatch.setattr(simulation_mod, "ProcessPoolExecutor", no_pool)
+        written = []
+        write = reports_mod.write_trace_csvs
+
+        def recorded(result, outdir):
+            written.append(outdir)
+            return write(result, outdir)
+
+        monkeypatch.setattr(reports_mod, "write_trace_csvs", recorded)
+        want = _reference(self.config(3))
+        result = run_experiment(self.config(3, tmp_path / "t2"), threads=2)
+        for field in FIELDS:
+            _assert_same_bits(getattr(result, field), want[field])
+        assert written == [tmp_path / "t2"]
+        run_experiment(self.config(3, tmp_path / "t1"), threads=1)
+        files = [
+            {p.name: p.read_bytes() for p in sorted((tmp_path / t).iterdir())}
+            for t in ("t1", "t2")
+        ]
+        assert len(files[0]) == len(self.ROSTER) + 1 and files[0] == files[1]
+
     def test_holds_the_means_and_one_repetition(self):
         """At one thread the traced peak stays within one repetition's
         working set: its stream and the costliest single ``run``, whose

@@ -309,12 +309,15 @@ def cmd_bounds(args) -> int:
 
 def cmd_verify(args) -> int:
     seed = DEFAULT_SEED if args.seed is None else args.seed
-    if args.full:  # the experiment report reads the thread count; refuse it first
-        _resolve_threads(None)
+    threads = _resolve_threads(None)  # refused before any property runs
     try:
-        results, info = run_suite(full=args.full, seed=seed)
+        results, info = run_suite(full=args.full, seed=seed, threads=threads)
     except ValueError as exc:  # the seed, refused before any property runs
         raise ValueError(f"--{exc}") from None
+    except BrokenExecutor:  # a pool worker was killed, say by the OS out of memory
+        raise ValueError(
+            "a pool worker process died running the property suite; lower ADAHEDGE_THREADS"
+        ) from None
     profile = "--full" if args.full else "--quick"
     for res in results:
         line = f"{'PASS' if res.passed else 'FAIL'} {res.name}: {res.detail}"

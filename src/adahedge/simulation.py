@@ -32,7 +32,8 @@ task per strategy, so ``min(threads, strategies)`` run at once.  A task
 carries only a strategy index and a trace path; the worker writes into the
 mappings it inherited and then writes that strategy's trace CSV.  With one
 worker or one strategy, or where the platform cannot fork, this process
-does it all and writes the traces at the end.
+does it all and writes the traces at the end.  ``_run_tasks`` runs other
+independent calls, such as ``verify``'s properties, by the same pool rule.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ import math
 import mmap
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from multiprocessing import get_all_start_methods, get_context
 from pathlib import Path
@@ -405,6 +407,39 @@ def _inherit(*shared) -> None:
     _inherited = shared
 
 
+def _pool_workers(threads: int, tasks: int) -> int:
+    """How many pool workers run ``tasks`` independent tasks at ``threads``:
+    at most one per task, and 1, meaning this process, where there is no fork."""
+    return 1 if _FORK is None else min(threads, tasks)
+
+
+@contextmanager
+def _fork_pool(workers: int, *shared):
+    """A fork pool of ``workers`` processes that inherit ``shared`` (see
+    ``_inherit``) and this process's imports and patches.  On leaving, a
+    failed task cancels those not yet started."""
+    pool = ProcessPoolExecutor(
+        max_workers=workers, mp_context=_FORK, initializer=_inherit, initargs=shared
+    )
+    try:
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _run_tasks(tasks: list, threads: Optional[int]) -> list:
+    """``[fn(*args) for fn, *args in tasks]``, in a fork pool whose workers
+    take the tasks in list order when there is more than one worker (see
+    ``_resolve_threads``), else in this process.  A task goes to a worker as
+    its module-level function and arguments; only its value comes back."""
+    workers = _pool_workers(_resolve_threads(threads), len(tasks))
+    if workers == 1:
+        return [fn(*args) for fn, *args in tasks]
+    with _fork_pool(workers) as pool:
+        futures = [pool.submit(*task) for task in tasks]
+        return [future.result() for future in futures]
+
+
 def _strategy(index: int, path: Optional[Path]) -> None:
     """Worker job: roster entry ``index``'s means in the inherited mapping,
     then its trace CSV at ``path`` if there is one; module-level so that
@@ -446,23 +481,15 @@ def run_experiment(
         dict(zip(slugs, counts)),
     )
 
-    workers = min(threads, len(slugs))
-    if workers == 1 or _FORK is None:
+    workers = _pool_workers(threads, len(slugs))
+    if workers == 1:
         _accumulate(config, region, counts, range(len(slugs)))
         if outdir is not None:
             reports.write_trace_csvs(result, outdir)
     else:
         paths = [None if outdir is None else reports.trace_path(outdir, s) for s in slugs]
-        pool = ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=_FORK,
-            initializer=_inherit,
-            initargs=(config, region, counts),
-        )
-        try:
+        with _fork_pool(workers, config, region, counts) as pool:
             list(pool.map(_strategy, range(len(slugs)), paths))
-        finally:  # a failed task cancels those not yet started
-            pool.shutdown(cancel_futures=True)
 
     if outdir is not None:
         reports.write_summary_csv(result, outdir)

@@ -47,6 +47,7 @@ from .simulation import (
     ExperimentConfig,
     FtlKiller,
     _M64,
+    _run_tasks,
     derive_seed,
     generate,
     run_experiment,
@@ -401,21 +402,35 @@ _CHECKS = (
 )
 
 
-def run_suite(*, full: bool = False, seed: int = DEFAULT_SEED):
+def _run_check(i: int, seed: int, full: bool) -> tuple[bool, str]:
+    """Property ``i`` of ``_CHECKS`` at the suite ``seed``: (passed, detail).
+
+    Module-level and reading ``_CHECKS`` when called, so that a forked pool
+    worker runs the table, and any patch, that this process holds."""
+    _, check, quick_args, full_args = _CHECKS[i]
+    try:
+        return check(derive_seed(seed, 1000 + i), *(full_args if full else quick_args))
+    except (ValueError, ArithmeticError) as exc:  # an op refused its input
+        return False, f"raised {type(exc).__name__}: {exc}"
+
+
+def run_suite(*, full: bool = False, seed: int = DEFAULT_SEED, threads: int | None = None):
     """Run every property; returns (results, info_lines).
 
     The quick profile keeps the whole suite under ~10 seconds; the full
     profile uses acceptance-scale sample counts and also reruns the
     correlated-losses experiment for the informational segment report.
     ``seed`` must be in [0, 2**64); any other is refused before a property runs.
+    No property depends on another, so ``threads`` workers may run them
+    (``simulation._run_tasks``), the experiment report first, as the longest
+    task; the results are the same at any ``threads``.
     """
     seed = _check_int("seed", seed, 0, _M64)
-    results = []
-    for i, (name, check, quick_args, full_args) in enumerate(_CHECKS):
-        try:
-            ok, detail = check(derive_seed(seed, 1000 + i), *(full_args if full else quick_args))
-        except (ValueError, ArithmeticError) as exc:  # an op refused its input
-            ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-        results.append(PropertyResult(name, ok, detail))
-    info = [_correlated_info(seed)] if full else []
-    return results, info
+    report = [(_correlated_info, seed)] if full else []
+    checks = [(_run_check, i, seed, full) for i in range(len(_CHECKS))]
+    outcomes = _run_tasks(report + checks, threads)
+    results = [
+        PropertyResult(name, *outcome)
+        for (name, *_), outcome in zip(_CHECKS, outcomes[len(report) :])
+    ]
+    return results, outcomes[: len(report)]

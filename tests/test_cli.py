@@ -844,17 +844,53 @@ class TestVerifyCommand:
         assert "PASS" not in captured.out and "FAIL" not in captured.out
         assert "--seed" in captured.err
 
+    @pytest.mark.parametrize("profile", ["--quick", "--full"])
     @pytest.mark.parametrize("threads", ["abc", "0"])
-    def test_full_refuses_bad_thread_count_first(self, threads, capsys, monkeypatch):
-        """The experiment report reads ADAHEDGE_THREADS; a bad value is
-        refused before any property runs."""
+    def test_bad_thread_count_is_refused_first(self, threads, profile, capsys, monkeypatch):
+        """Both profiles read ADAHEDGE_THREADS; a bad value is refused
+        before any property runs."""
         monkeypatch.setenv("ADAHEDGE_THREADS", threads)
         start = time.perf_counter()
-        assert main(["verify", "--full"]) == 2
+        assert main(["verify", profile]) == 2
         assert time.perf_counter() - start < 1.0
         captured = capsys.readouterr()
         assert "PASS" not in captured.out and "FAIL" not in captured.out
         assert "ADAHEDGE_THREADS" in captured.err
+
+    @pytest.mark.parametrize("profile", ["--quick", "--full"])
+    def test_same_output_at_one_and_two_threads(self, profile, capsys, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        outs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("ADAHEDGE_THREADS", threads)
+            assert main(["verify", profile]) == 0
+            outs.append(capsys.readouterr())
+        assert outs[0] == outs[1]
+        assert outs[0].out.count("PASS ") == 10 and outs[0].err == ""
+        assert outs[0].out.count("INFO ") == (profile == "--full")
+
+    def test_dead_worker_is_one_error_line(self, capsys, monkeypatch):
+        """A pool worker killed mid-suite, say by the OS out of memory, exits
+        2 with one line and prints no property."""
+        import adahedge.verify as verify_mod
+
+        parent = os.getpid()
+
+        def die(*args):
+            assert os.getpid() != parent, "the property ran in the test process"
+            os._exit(9)
+
+        checks = list(verify_mod._CHECKS)
+        checks[4] = (checks[4][0], die, (), ())
+        monkeypatch.setattr(verify_mod, "_CHECKS", tuple(checks))
+        monkeypatch.setenv("ADAHEDGE_THREADS", "2")
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert main(["verify", "--quick"]) == 2
+        assert capsys.readouterr() == (
+            "",
+            "error: a pool worker process died running the property suite; "
+            "lower ADAHEDGE_THREADS\n",
+        )
 
     def test_weakened_gap_constant_is_caught(self):
         """Shrinking the gap-bound coefficient from (e - 2) to (e - 2.1)
@@ -875,7 +911,8 @@ class TestVerifyCommand:
         assert not by_name["gap-posterior-lemma4"].passed
         assert by_name["gap-range-lemma1"].passed
 
-    def test_wrong_kernel_mix_loss_is_caught(self, monkeypatch):
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_wrong_kernel_mix_loss_is_caught(self, threads, monkeypatch):
         """A mix loss off by 1e-6 in the kernel that produces results must
         trip the chain rule, while the typed per-round API stays correct."""
         import adahedge.strategies as strategies_mod
@@ -887,12 +924,14 @@ class TestVerifyCommand:
             return hedge, mix + 1e-6
 
         monkeypatch.setattr(strategies_mod, "block_hedge_and_mix_loss", off_by_a_little)
-        results, _ = run_suite(full=False, seed=20110718)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # forked workers inherit the patch
+        results, _ = run_suite(full=False, seed=20110718, threads=threads)
         by_name = {res.name: res for res in results}
         assert not by_name["factorization-chain-rule"].passed
         assert by_name["gap-range-lemma1"].passed
 
-    def test_wrong_posterior_update_is_caught(self, monkeypatch):
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_wrong_posterior_update_is_caught(self, threads, monkeypatch):
         """A typed posterior update at a rate off by one part in a million
         must trip the chain rule on sampled priors."""
         import adahedge.verify as verify_mod
@@ -903,7 +942,8 @@ class TestVerifyCommand:
             return update(weights, loss, eta * (1.0 + 1e-6))
 
         monkeypatch.setattr(verify_mod, "posterior_update", off_by_a_little)
-        results, _ = run_suite(full=False, seed=20110718)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        results, _ = run_suite(full=False, seed=20110718, threads=threads)
         by_name = {res.name: res for res in results}
         assert not by_name["factorization-chain-rule"].passed
         assert by_name["gap-range-lemma1"].passed

@@ -1,18 +1,23 @@
-"""The two gap properties of ``verify``, evaluated on the block kernel.
+"""The two gap properties of ``verify``, evaluated on the block kernel, and
+the suite's fan-out over a fork pool.
 
 Their sampled rounds go through ``core.block_hedge_and_mix_loss``, one call
 per number of actions; these tests pin that every gap equals the typed
 ``mixability_gap`` bit for bit, that the quick profile prints the same
 details, and that a wrong block kernel fails both properties on their
-numbers rather than through an exception.
+numbers rather than through an exception.  The suite gives the same results
+at one and two threads, runs in this process where there is no fork, and
+passes a property's other errors on to the caller.
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
 
 import adahedge.core as core_mod
+import adahedge.simulation as simulation_mod
 import adahedge.verify as verify_mod
 from adahedge.cli import main
 from adahedge.core import WeightSnapshot, mixability_gap
@@ -150,3 +155,64 @@ def test_gap_budget_reads_its_own_constant(monkeypatch):
     real = verify_mod._check_gap_budget(seed, 5)
     monkeypatch.setattr(bounds_mod, "_E1", math.e - 2.0)
     assert verify_mod._check_gap_budget(seed, 5) == real
+
+
+class TestFanOut:
+    """With two workers a fork pool runs the properties; with one, or
+    without fork, this process runs them.  The results are the same."""
+
+    @pytest.fixture(autouse=True)
+    def two_cores(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+    def counted_pools(self, monkeypatch):
+        made = []
+        pool = simulation_mod.ProcessPoolExecutor
+
+        def counted(*args, **kwargs):
+            made.append(kwargs["max_workers"])
+            return pool(*args, **kwargs)
+
+        monkeypatch.setattr(simulation_mod, "ProcessPoolExecutor", counted)
+        return made
+
+    def test_same_results_at_one_and_two_threads(self, monkeypatch):
+        made = self.counted_pools(monkeypatch)
+        serial = run_suite(seed=DEFAULT_SEED, threads=1)
+        assert made == []
+        pooled = run_suite(seed=DEFAULT_SEED, threads=2)
+        assert made == [2]
+        assert pooled == serial
+        assert [res.name for res in pooled[0]] == [name for name, *_ in verify_mod._CHECKS]
+
+    def test_without_fork_runs_in_this_process_at_any_thread_count(self, monkeypatch):
+        calls = []
+        check = verify_mod._run_check
+
+        def recorded(i, seed, full):
+            calls.append(i)
+            return check(i, seed, full)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was made without fork")
+
+        want = run_suite(seed=DEFAULT_SEED, threads=1)
+        monkeypatch.setattr(simulation_mod, "_FORK", None)
+        monkeypatch.setattr(simulation_mod, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(verify_mod, "_run_check", recorded)
+        assert run_suite(seed=DEFAULT_SEED, threads=2) == want
+        assert calls == list(range(len(verify_mod._CHECKS)))
+
+    def test_other_errors_reach_the_caller_from_a_worker(self, monkeypatch):
+        """Only ``ValueError`` and ``ArithmeticError`` fail a property; any
+        other error stops the suite, with its type, from the worker."""
+
+        def broken(*args):
+            raise LookupError(f"raised in {os.getpid()}")
+
+        checks = list(verify_mod._CHECKS)
+        checks[6] = (checks[6][0], broken, (), ())
+        monkeypatch.setattr(verify_mod, "_CHECKS", tuple(checks))
+        with pytest.raises(LookupError, match="raised in ") as info:
+            run_suite(seed=DEFAULT_SEED, threads=2)
+        assert int(str(info.value).split()[-1]) != os.getpid()

@@ -309,9 +309,9 @@ def cmd_bounds(args) -> int:
 
 def cmd_verify(args) -> int:
     seed = DEFAULT_SEED if args.seed is None else args.seed
-    threads = _resolve_threads(None)  # refused before any property runs
+    _resolve_threads(None)  # the suite reads the thread count; refuse it first
     try:
-        results, info = run_suite(full=args.full, seed=seed, threads=threads)
+        results, info = run_suite(full=args.full, seed=seed)
     except ValueError as exc:  # the seed, refused before any property runs
         raise ValueError(f"--{exc}") from None
     except BrokenExecutor:  # a pool worker was killed, say by the OS out of memory

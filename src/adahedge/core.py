@@ -121,8 +121,6 @@ def _as_element(name: str, v) -> float:
 def _in_order(name: str, values):
     """``iter(values)``, refused by ``name`` unless the values come in order
     (a set has none, and a mapping would give its keys)."""
-    if type(values) in (list, tuple):  # the common case, ahead of the ABC check
-        return iter(values)
     try:
         if isinstance(values, (Set, Mapping)):
             raise TypeError
@@ -333,23 +331,9 @@ def _map(fn, x: np.ndarray) -> np.ndarray:
     ``0.0`` and one NaN payload apart from another, so a NaN keeps its
     payload where ``fn`` does.  The kernels map ``log``, ``expm1`` and
     ``log1p`` through it; ``exp`` goes through ``_exp``."""
-    bits = x.view(np.int64).ravel()
-    if not bits.size:
-        return np.empty(x.shape)
-    order = np.argsort(bits)
-    bits = bits[order]
-    # the first of each run of equal bits in sorted order, and the run lengths
-    first = np.empty(bits.size, dtype=bool)
-    first[0] = True
-    np.not_equal(bits[1:], bits[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    runs = np.empty_like(starts)
-    np.subtract(starts[1:], starts[:-1], out=runs[:-1])
-    runs[-1] = bits.size - starts[-1]
-    values = np.fromiter(map(fn, bits[starts].view(np.float64).tolist()), np.float64, starts.size)
-    out = np.empty(bits.size)
-    out[order] = np.repeat(values, runs)
-    return out.reshape(x.shape)
+    bits, inverse = np.unique(x.view(np.int64), return_inverse=True)
+    values = np.fromiter(map(fn, bits.view(np.float64).tolist()), np.float64, bits.size)
+    return values[inverse].reshape(x.shape)
 
 
 def _exp(x: np.ndarray) -> np.ndarray:

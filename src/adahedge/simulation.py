@@ -427,12 +427,12 @@ def _fork_pool(workers: int, *shared):
         pool.shutdown(cancel_futures=True)
 
 
-def _run_tasks(tasks: list, threads: Optional[int]) -> list:
+def _run_tasks(tasks: list) -> list:
     """``[fn(*args) for fn, *args in tasks]``, in a fork pool whose workers
     take the tasks in list order when there is more than one worker (see
     ``_resolve_threads``), else in this process.  A task goes to a worker as
     its module-level function and arguments; only its value comes back."""
-    workers = _pool_workers(_resolve_threads(threads), len(tasks))
+    workers = _pool_workers(_resolve_threads(None), len(tasks))
     if workers == 1:
         return [fn(*args) for fn, *args in tasks]
     with _fork_pool(workers) as pool:

@@ -414,21 +414,21 @@ def _run_check(i: int, seed: int, full: bool) -> tuple[bool, str]:
         return False, f"raised {type(exc).__name__}: {exc}"
 
 
-def run_suite(*, full: bool = False, seed: int = DEFAULT_SEED, threads: int | None = None):
+def run_suite(*, full: bool = False, seed: int = DEFAULT_SEED):
     """Run every property; returns (results, info_lines).
 
     The quick profile keeps the whole suite under ~10 seconds; the full
     profile uses acceptance-scale sample counts and also reruns the
     correlated-losses experiment for the informational segment report.
     ``seed`` must be in [0, 2**64); any other is refused before a property runs.
-    No property depends on another, so ``threads`` workers may run them
-    (``simulation._run_tasks``), the experiment report first, as the longest
-    task; the results are the same at any ``threads``.
+    No property depends on another, so ``ADAHEDGE_THREADS`` workers may run
+    them (``simulation._run_tasks``), the experiment report first, as the
+    longest task; the results are the same at any thread count.
     """
     seed = _check_int("seed", seed, 0, _M64)
     report = [(_correlated_info, seed)] if full else []
     checks = [(_run_check, i, seed, full) for i in range(len(_CHECKS))]
-    outcomes = _run_tasks(report + checks, threads)
+    outcomes = _run_tasks(report + checks)
     results = [
         PropertyResult(name, *outcome)
         for (name, *_), outcome in zip(_CHECKS, outcomes[len(report) :])

@@ -925,7 +925,8 @@ class TestVerifyCommand:
 
         monkeypatch.setattr(strategies_mod, "block_hedge_and_mix_loss", off_by_a_little)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)  # forked workers inherit the patch
-        results, _ = run_suite(full=False, seed=20110718, threads=threads)
+        monkeypatch.setenv("ADAHEDGE_THREADS", str(threads))
+        results, _ = run_suite(full=False, seed=20110718)
         by_name = {res.name: res for res in results}
         assert not by_name["factorization-chain-rule"].passed
         assert by_name["gap-range-lemma1"].passed
@@ -943,7 +944,8 @@ class TestVerifyCommand:
 
         monkeypatch.setattr(verify_mod, "posterior_update", off_by_a_little)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        results, _ = run_suite(full=False, seed=20110718, threads=threads)
+        monkeypatch.setenv("ADAHEDGE_THREADS", str(threads))
+        results, _ = run_suite(full=False, seed=20110718)
         by_name = {res.name: res for res in results}
         assert not by_name["factorization-chain-rule"].passed
         assert by_name["gap-range-lemma1"].passed

@@ -14,6 +14,7 @@ import sys
 import numpy as np
 import pytest
 
+import adahedge.simulation as simulation_mod
 import adahedge.verify as verify_mod
 from adahedge import bounds
 from adahedge.core import CumulativeLoss
@@ -91,6 +92,8 @@ def probed(monkeypatch):
 
     monkeypatch.setattr(verify_mod, "_CHECKS", (("probe", probe, (), ()),))
     monkeypatch.delenv("ADAHEDGE_THREADS", raising=False)
+    # the suite runs in this process, so that ``runs`` sees every probe
+    monkeypatch.setattr(simulation_mod, "_FORK", None)
     return runs
 
 

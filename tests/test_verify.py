@@ -176,11 +176,16 @@ class TestFanOut:
         monkeypatch.setattr(simulation_mod, "ProcessPoolExecutor", counted)
         return made
 
+    @staticmethod
+    def suite(monkeypatch, threads):
+        monkeypatch.setenv("ADAHEDGE_THREADS", str(threads))
+        return run_suite(seed=DEFAULT_SEED)
+
     def test_same_results_at_one_and_two_threads(self, monkeypatch):
         made = self.counted_pools(monkeypatch)
-        serial = run_suite(seed=DEFAULT_SEED, threads=1)
+        serial = self.suite(monkeypatch, 1)
         assert made == []
-        pooled = run_suite(seed=DEFAULT_SEED, threads=2)
+        pooled = self.suite(monkeypatch, 2)
         assert made == [2]
         assert pooled == serial
         assert [res.name for res in pooled[0]] == [name for name, *_ in verify_mod._CHECKS]
@@ -196,11 +201,11 @@ class TestFanOut:
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool was made without fork")
 
-        want = run_suite(seed=DEFAULT_SEED, threads=1)
+        want = self.suite(monkeypatch, 1)
         monkeypatch.setattr(simulation_mod, "_FORK", None)
         monkeypatch.setattr(simulation_mod, "ProcessPoolExecutor", no_pool)
         monkeypatch.setattr(verify_mod, "_run_check", recorded)
-        assert run_suite(seed=DEFAULT_SEED, threads=2) == want
+        assert self.suite(monkeypatch, 2) == want
         assert calls == list(range(len(verify_mod._CHECKS)))
 
     def test_other_errors_reach_the_caller_from_a_worker(self, monkeypatch):
@@ -214,5 +219,5 @@ class TestFanOut:
         checks[6] = (checks[6][0], broken, (), ())
         monkeypatch.setattr(verify_mod, "_CHECKS", tuple(checks))
         with pytest.raises(LookupError, match="raised in ") as info:
-            run_suite(seed=DEFAULT_SEED, threads=2)
+            self.suite(monkeypatch, 2)
         assert int(str(info.value).split()[-1]) != os.getpid()

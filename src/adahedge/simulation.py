@@ -26,14 +26,14 @@ arrays into the strategy's sums, and divides the sums in place into the
 means.  Every sum is therefore ``0 + r0 + r1 + ...``, and aggregate output
 is byte-identical, whatever the thread count.  The sums, event counts and
 segment counts live in shared anonymous mappings made before any worker
-forks.  With more than one worker, a process pool capped by the
-``ADAHEDGE_THREADS`` environment variable and by the CPU count runs one
-task per strategy, so ``min(threads, strategies)`` run at once.  A task
-carries only a strategy index and a trace path; the worker writes into the
-mappings it inherited and then writes that strategy's trace CSV.  With one
-worker or one strategy, or where the platform cannot fork, this process
-does it all and writes the traces at the end.  ``_run_tasks`` runs other
-independent calls, such as ``verify``'s properties, by the same pool rule.
+forks.  With more than one worker (``ADAHEDGE_THREADS``, else and at most
+the CPUs this process may run on), ``_run_tasks``, the one pool path, runs
+one task per strategy, so ``min(threads, strategies)`` run at once; it runs
+``verify``'s properties too.  A task carries only a strategy index and a
+trace path; the worker writes into the mappings it inherited and then
+writes that strategy's trace CSV.  With one worker or one strategy, or
+where the platform cannot fork, this process does it all and writes the
+traces at the end.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ import math
 import mmap
 import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from multiprocessing import get_all_start_methods, get_context
 from pathlib import Path
@@ -360,9 +359,11 @@ def _resolve_threads(threads: Optional[int]) -> int:
             name, threads = THREADS_ENV, int(env)
         except ValueError:  # text int() refuses is refused below, by name
             name, threads = THREADS_ENV, env
-    threads = _check_int(name, (os.cpu_count() or 1) if threads is None else threads, 1)
-    # a fork pool starts all its workers at once; more than the cores buy nothing
-    return min(threads, os.cpu_count() or 1)
+    affinity = getattr(os, "sched_getaffinity", None)  # the CPUs this process may run on
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    threads = _check_int(name, cpus if threads is None else threads, 1)
+    # a fork pool starts all its workers at once; more than the CPUs buy nothing
+    return min(threads, cpus)
 
 
 def _columns(sums: np.ndarray) -> tuple:
@@ -398,7 +399,7 @@ def _accumulate(
         region[i, :3] /= reps
 
 
-_inherited = None  # in a pool worker, the parent's config and mappings
+_inherited = None  # in a pool worker, the shared state ``_run_tasks`` was given
 
 
 def _inherit(*shared) -> None:
@@ -413,31 +414,25 @@ def _pool_workers(threads: int, tasks: int) -> int:
     return 1 if _FORK is None else min(threads, tasks)
 
 
-@contextmanager
-def _fork_pool(workers: int, *shared):
-    """A fork pool of ``workers`` processes that inherit ``shared`` (see
-    ``_inherit``) and this process's imports and patches.  On leaving, a
-    failed task cancels those not yet started."""
+def _run_tasks(tasks: list, *shared, threads: Optional[int] = None) -> list:
+    """``[fn(*args) for fn, *args in tasks]``, in this process at one worker
+    (see ``_resolve_threads`` and ``_pool_workers``), else in a fork pool
+    whose workers take the tasks in list order.  The only pool: its workers
+    inherit this process's imports and patches, and ``shared`` as
+    ``_inherited``.  A task goes to a worker as its module-level function and
+    arguments; only its value comes back.  A failed task cancels those not
+    yet started."""
+    workers = _pool_workers(_resolve_threads(threads), len(tasks))
+    if workers == 1:
+        return [fn(*args) for fn, *args in tasks]
     pool = ProcessPoolExecutor(
         max_workers=workers, mp_context=_FORK, initializer=_inherit, initargs=shared
     )
     try:
-        yield pool
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
-def _run_tasks(tasks: list) -> list:
-    """``[fn(*args) for fn, *args in tasks]``, in a fork pool whose workers
-    take the tasks in list order when there is more than one worker (see
-    ``_resolve_threads``), else in this process.  A task goes to a worker as
-    its module-level function and arguments; only its value comes back."""
-    workers = _pool_workers(_resolve_threads(None), len(tasks))
-    if workers == 1:
-        return [fn(*args) for fn, *args in tasks]
-    with _fork_pool(workers) as pool:
         futures = [pool.submit(*task) for task in tasks]
         return [future.result() for future in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _strategy(index: int, path: Optional[Path]) -> None:
@@ -457,12 +452,14 @@ def run_experiment(
     """All repetitions of an experiment, averaged per strategy.
 
     One process makes each strategy's means from start to finish: this one
-    for every strategy, or, with more than one worker, one pool worker per
-    strategy, so at most ``min(threads, strategies)`` run at once.  A worker
-    is sent only a strategy index and a trace path; its sums go to a shared
-    mapping.  Every float in the output is therefore the same at any
-    ``threads``.  When ``config.output_dir`` is set, trace and summary CSVs
-    are written there, each trace by the process that made its means.
+    for every strategy, or, with more than one worker, one ``_run_tasks``
+    pool worker per strategy, so at most ``min(threads, strategies)`` run at
+    once (``threads`` defaults to ``ADAHEDGE_THREADS``, else the CPUs this
+    process may run on, and is capped by those CPUs).  A worker is sent only
+    a strategy index and a trace path; its sums go to a shared mapping, so
+    every float in the output is the same at any ``threads``.  When
+    ``config.output_dir`` is set, trace and summary CSVs are written there,
+    each trace by the process that made its means.
     """
     threads = _resolve_threads(threads)
     reps = config.repetitions
@@ -481,15 +478,14 @@ def run_experiment(
         dict(zip(slugs, counts)),
     )
 
-    workers = _pool_workers(threads, len(slugs))
-    if workers == 1:
+    if _pool_workers(threads, len(slugs)) == 1:
         _accumulate(config, region, counts, range(len(slugs)))
         if outdir is not None:
             reports.write_trace_csvs(result, outdir)
     else:
         paths = [None if outdir is None else reports.trace_path(outdir, s) for s in slugs]
-        with _fork_pool(workers, config, region, counts) as pool:
-            list(pool.map(_strategy, range(len(slugs)), paths))
+        tasks = [(_strategy, i, path) for i, path in enumerate(paths)]
+        _run_tasks(tasks, config, region, counts, threads=threads)
 
     if outdir is not None:
         reports.write_summary_csv(result, outdir)

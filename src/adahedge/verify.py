@@ -417,9 +417,9 @@ def _run_check(i: int, seed: int, full: bool) -> tuple[bool, str]:
 def run_suite(*, full: bool = False, seed: int = DEFAULT_SEED):
     """Run every property; returns (results, info_lines).
 
-    The quick profile keeps the whole suite under ~10 seconds; the full
-    profile uses acceptance-scale sample counts and also reruns the
-    correlated-losses experiment for the informational segment report.
+    The quick profile takes about half a second; the full profile uses
+    acceptance-scale sample counts and also reruns the correlated-losses
+    experiment for the informational segment report.
     ``seed`` must be in [0, 2**64); any other is refused before a property runs.
     No property depends on another, so ``ADAHEDGE_THREADS`` workers may run
     them (``simulation._run_tasks``), the experiment report first, as the

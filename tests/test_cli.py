@@ -535,7 +535,7 @@ class TestRunCommand:
             os._exit(9)
 
         monkeypatch.setenv("ADAHEDGE_THREADS", "2")
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(simulation_mod, "run", die)
         path = self.write(tmp_path, VALID.format(out=tmp_path / "out"))
         assert main(["run", str(path)]) == 2
@@ -547,10 +547,13 @@ class TestRunCommand:
         assert not (tmp_path / "out").exists()
 
     def test_dry_run_caps_threads_at_cpu_count(self, tmp_path, capsys, monkeypatch):
+        """The cap is the CPUs this process may run on, not the machine's."""
         monkeypatch.setenv("ADAHEDGE_THREADS", "1000000")
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         path = self.write(tmp_path, VALID.format(out=tmp_path / "never"))
         assert main(["run", str(path), "--dry-run"]) == 0
-        assert f"  threads     {os.cpu_count() or 1}\n" in capsys.readouterr().out
+        assert "  threads     3\n" in capsys.readouterr().out
 
     def test_invalid_config_names_line(self, tmp_path, capsys):
         path = self.write(
@@ -704,7 +707,7 @@ class TestRunCommand:
         """A pool worker's failed trace write reaches the CLI as the OSError
         it raised: exit 3, one line, no traceback."""
         monkeypatch.setenv("ADAHEDGE_THREADS", "2")
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         out = tmp_path / "out"
         (out / "trace_ftl.csv").mkdir(parents=True)
         path = self.write(tmp_path, VALID.format(out=out))
@@ -859,7 +862,7 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("profile", ["--quick", "--full"])
     def test_same_output_at_one_and_two_threads(self, profile, capsys, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         outs = []
         for threads in ("1", "2"):
             monkeypatch.setenv("ADAHEDGE_THREADS", threads)
@@ -884,7 +887,7 @@ class TestVerifyCommand:
         checks[4] = (checks[4][0], die, (), ())
         monkeypatch.setattr(verify_mod, "_CHECKS", tuple(checks))
         monkeypatch.setenv("ADAHEDGE_THREADS", "2")
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         assert main(["verify", "--quick"]) == 2
         assert capsys.readouterr() == (
             "",
@@ -923,8 +926,9 @@ class TestVerifyCommand:
             hedge, mix = kernel(*args)
             return hedge, mix + 1e-6
 
+        # forked workers inherit the patch
         monkeypatch.setattr(strategies_mod, "block_hedge_and_mix_loss", off_by_a_little)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # forked workers inherit the patch
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setenv("ADAHEDGE_THREADS", str(threads))
         results, _ = run_suite(full=False, seed=20110718)
         by_name = {res.name: res for res in results}
@@ -943,7 +947,7 @@ class TestVerifyCommand:
             return update(weights, loss, eta * (1.0 + 1e-6))
 
         monkeypatch.setattr(verify_mod, "posterior_update", off_by_a_little)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setenv("ADAHEDGE_THREADS", str(threads))
         results, _ = run_suite(full=False, seed=20110718)
         by_name = {res.name: res for res in results}

@@ -69,7 +69,7 @@ ENTRY_POINTS = {
         generate(IidBernoulli((0.5, 0.5)), 4, 5).tolist(),
     ),
     "oracle_eta.k": ("number of actions k", lambda x: oracle_eta(4.0, x), oracle_eta(4.0, 5)),
-    "threads": ("threads", _resolve_threads, min(5, os.cpu_count() or 1)),
+    "threads": ("threads", _resolve_threads, min(5, len(os.sched_getaffinity(0)))),
     "run_suite.seed": ("seed", _suite_seed, derive_seed(5, 1000)),
     "bounds.k": ("k", lambda x: bounds.budget(1.0, x), bounds.budget(1.0, 5)),
     "bounds.m": ("m", lambda x: bounds.lemma3_bound(x, 2, 2.0), bounds.lemma3_bound(5, 2, 2.0)),
@@ -102,7 +102,7 @@ def probed(monkeypatch):
 def test_non_integer_is_refused_by_name(entry, value, probed):
     name, call, _ = ENTRY_POINTS[entry]
     if entry == "threads" and value is None:  # the documented default
-        assert call(None) == (os.cpu_count() or 1)
+        assert call(None) == len(os.sched_getaffinity(0))
         return
     with pytest.raises(ValueError, match=rf"^{name} must be an integer"):
         call(value)

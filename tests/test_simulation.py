@@ -2,11 +2,15 @@
 
 import math
 import os
+import tempfile
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import adahedge.reports as reports_mod
 import adahedge.simulation as simulation_mod
@@ -25,6 +29,7 @@ from adahedge.simulation import (
 from adahedge.strategies import (
     AdaHedge,
     DoublingHedge,
+    FixedHedge,
     FollowTheLeader,
     OracleHedge,
     VariableHedge,
@@ -457,6 +462,23 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="thread"):
             run_experiment(self.config(reps=2), threads=0)
 
+    def test_threads_are_capped_at_the_cpus_this_process_may_run_on(self, monkeypatch):
+        """Under a one-CPU affinity mask on a two-core machine (``taskset -c
+        0``), the default and ``ADAHEDGE_THREADS=2`` both resolve to one
+        worker, and a run makes no pool."""
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was made on one usable CPU")
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(simulation_mod, "ProcessPoolExecutor", no_pool)
+        monkeypatch.delenv("ADAHEDGE_THREADS", raising=False)
+        assert simulation_mod._resolve_threads(None) == 1
+        monkeypatch.setenv("ADAHEDGE_THREADS", "2")
+        assert simulation_mod._resolve_threads(None) == 1
+        run_experiment(self.config(reps=2))
+
     @pytest.mark.parametrize("reps", [2**50, 2**62, 10**30])
     def test_repetitions_too_many_for_one_array_are_named(self, reps):
         """The shared mapping of the segment counts refuses these before
@@ -540,7 +562,7 @@ class TestFanOut:
     ):
         # four workers on any machine: more than the three strategies, and a
         # one-strategy roster runs in this process at any thread count
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
         for roster in (self.ROSTER, self.ROSTER[1:2]):
             want = _reference(self.config(reps, strategies=roster))
             files = {}
@@ -606,7 +628,7 @@ class TestFanOut:
         """Where the platform cannot fork there is no pool: at two threads
         this process makes every strategy's means and writes the traces in
         one call, with the same bits and bytes as at one thread."""
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(simulation_mod, "_FORK", None)
 
         def no_pool(*args, **kwargs):
@@ -674,7 +696,7 @@ class TestFanOut:
         strategy's arrays for one repetition: the workers add their runs
         into the mapping and return nothing to unpickle.  The means live in
         the mapping."""
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         kinds = (FollowTheLeader(), AdaHedge(2.0))
         cfg = ExperimentConfig(
             generator=IidBernoulli((0.3, 0.5)),
@@ -698,7 +720,7 @@ class TestFanOut:
     def test_pool_workers_write_the_traces(self, reps, tmp_path, monkeypatch):
         """At two workers each trace is written once, by a forked worker,
         which inherits the patched writer; this process writes none."""
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         log = tmp_path / "writers.log"
         write = reports_mod.write_trace_csv
 
@@ -713,6 +735,57 @@ class TestFanOut:
         calls = [line.split() for line in log.read_text().splitlines()]
         assert sorted(name for _, name in calls) == sorted(f"trace_{s}.csv" for s in cfg.slugs)
         assert all(int(pid) != os.getpid() for pid, _ in calls)
+
+PROB = st.floats(0.0, 1.0)
+GENERATOR = st.one_of(
+    st.lists(PROB, min_size=2, max_size=6).map(IidBernoulli),
+    st.builds(Correlated, PROB, PROB, PROB),
+    st.builds(
+        AlternatingPair, st.floats(0.1, 0.3), st.floats(0.5, 0.8), st.floats(0.0, 0.05)
+    ),
+    st.just(FtlKiller()),
+)
+PHI = st.sampled_from([1.5, 2.0, 3.0])
+KIND = st.one_of(
+    st.sampled_from([FollowTheLeader(), OracleHedge(), VariableHedge()]),
+    st.builds(FixedHedge, st.sampled_from([0.25, 1.0, 4.0])),
+    st.builds(DoublingHedge, PHI),
+    st.builds(AdaHedge, PHI),
+)
+
+
+class TestEveryPoolPath:
+    """Small experiments drawn at random give the same arrays bit for bit
+    and the same files byte for byte in this process at one thread, in a
+    fork pool at two, and at two where the platform cannot fork; the arrays
+    are the definition's: each strategy's runs summed from zeros in
+    repetition order and divided by R.  Horizons up to 600 cross the
+    strategy kernel's first block of 256 rounds."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        generator=GENERATOR,
+        horizon_t=st.integers(1, 600),
+        repetitions=st.integers(1, 5),
+        strategies=st.lists(KIND, min_size=1, max_size=4, unique_by=lambda kind: kind.slug),
+        base_seed=st.integers(0, 2**64 - 1),
+    )
+    def test_same_bits_and_bytes_on_every_path(self, **drawn):
+        want = _reference(ExperimentConfig(**drawn))
+        files = []
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+            patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+            for case, threads in (("one", 1), ("pool", 2), ("no_fork", 2)):
+                if case == "no_fork":
+                    patch.setattr(simulation_mod, "_FORK", None)
+                outdir = Path(tmp, case)
+                cfg = ExperimentConfig(**drawn, output_dir=outdir)
+                result = run_experiment(cfg, threads=threads)
+                for field in FIELDS:
+                    _assert_same_bits(getattr(result, field), want[field])
+                files.append({p.name: p.read_bytes() for p in sorted(outdir.iterdir())})
+        assert len(files[0]) == len(drawn["strategies"]) + 1
+        assert files[0] == files[1] == files[2]
 
 
 class TestSegmentStatistics:

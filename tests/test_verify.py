@@ -1,5 +1,5 @@
 """The two gap properties of ``verify``, evaluated on the block kernel, and
-the suite's fan-out over a fork pool.
+the fan-out over the one fork pool, ``simulation._run_tasks``.
 
 Their sampled rounds go through ``core.block_hedge_and_mix_loss``, one call
 per number of actions; these tests pin that every gap equals the typed
@@ -7,11 +7,13 @@ per number of actions; these tests pin that every gap equals the typed
 details, and that a wrong block kernel fails both properties on their
 numbers rather than through an exception.  The suite gives the same results
 at one and two threads, runs in this process where there is no fork, and
-passes a property's other errors on to the caller.
+passes a property's other errors on to the caller; an experiment's
+strategies go through the same pool.
 """
 
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -21,7 +23,8 @@ import adahedge.simulation as simulation_mod
 import adahedge.verify as verify_mod
 from adahedge.cli import main
 from adahedge.core import WeightSnapshot, mixability_gap
-from adahedge.simulation import derive_seed
+from adahedge.simulation import ExperimentConfig, IidBernoulli, derive_seed, run_experiment
+from adahedge.strategies import AdaHedge, FollowTheLeader, VariableHedge
 from adahedge.verify import DEFAULT_SEED, run_suite
 
 
@@ -158,19 +161,29 @@ def test_gap_budget_reads_its_own_constant(monkeypatch):
 
 
 class TestFanOut:
-    """With two workers a fork pool runs the properties; with one, or
-    without fork, this process runs them.  The results are the same."""
+    """With two workers a fork pool runs the properties, and an experiment's
+    strategies; with one, or without fork, this process runs them.  The
+    results are the same."""
+
+    EXPERIMENT = ExperimentConfig(
+        generator=IidBernoulli((0.2, 0.5, 0.8)),
+        horizon_t=300,
+        repetitions=3,
+        strategies=(FollowTheLeader(), AdaHedge(2.0), VariableHedge()),
+        base_seed=101,
+    )
 
     @pytest.fixture(autouse=True)
     def two_cores(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
     def counted_pools(self, monkeypatch):
+        """Each pool made: its worker count and the function that made it."""
         made = []
         pool = simulation_mod.ProcessPoolExecutor
 
         def counted(*args, **kwargs):
-            made.append(kwargs["max_workers"])
+            made.append((kwargs["max_workers"], sys._getframe(1).f_code.co_name))
             return pool(*args, **kwargs)
 
         monkeypatch.setattr(simulation_mod, "ProcessPoolExecutor", counted)
@@ -182,13 +195,26 @@ class TestFanOut:
         return run_suite(seed=DEFAULT_SEED)
 
     def test_same_results_at_one_and_two_threads(self, monkeypatch):
+        """The suite, and an experiment of three strategies, each make one
+        pool of ``min(threads, tasks)`` workers at two threads, and none at
+        one; ``_run_tasks`` makes both."""
         made = self.counted_pools(monkeypatch)
         serial = self.suite(monkeypatch, 1)
         assert made == []
         pooled = self.suite(monkeypatch, 2)
-        assert made == [2]
+        assert made == [(2, "_run_tasks")]
         assert pooled == serial
         assert [res.name for res in pooled[0]] == [name for name, *_ in verify_mod._CHECKS]
+
+        made.clear()
+        want = run_experiment(self.EXPERIMENT, threads=1)
+        assert made == []
+        got = run_experiment(self.EXPERIMENT, threads=2)
+        assert made == [(2, "_run_tasks")]
+        fields = ("mean_regret", "mean_cum_loss", "mean_eta", "segment_events", "segments_started")
+        for field in fields:
+            for slug, values in getattr(want, field).items():
+                assert getattr(got, field)[slug].tobytes() == values.tobytes(), (field, slug)
 
     def test_without_fork_runs_in_this_process_at_any_thread_count(self, monkeypatch):
         calls = []
@@ -210,7 +236,8 @@ class TestFanOut:
 
     def test_other_errors_reach_the_caller_from_a_worker(self, monkeypatch):
         """Only ``ValueError`` and ``ArithmeticError`` fail a property; any
-        other error stops the suite, with its type, from the worker."""
+        other error stops the suite, with its type, from the worker.  An
+        error in an experiment's worker reaches its caller the same way."""
 
         def broken(*args):
             raise LookupError(f"raised in {os.getpid()}")
@@ -220,4 +247,9 @@ class TestFanOut:
         monkeypatch.setattr(verify_mod, "_CHECKS", tuple(checks))
         with pytest.raises(LookupError, match="raised in ") as info:
             self.suite(monkeypatch, 2)
+        assert int(str(info.value).split()[-1]) != os.getpid()
+
+        monkeypatch.setattr(simulation_mod, "run", broken)
+        with pytest.raises(LookupError, match="raised in ") as info:
+            run_experiment(self.EXPERIMENT, threads=2)
         assert int(str(info.value).split()[-1]) != os.getpid()

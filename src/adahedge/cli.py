@@ -279,11 +279,17 @@ _BOUNDS = {
 }
 
 
+_BOUND_FLAGS = {f"--{flag}" for _, flags in _BOUNDS.values() for flag in flags}
+
+
 def _evaluate_bound(args):
     fn, flags = _BOUNDS[args.name]
     if args.name == "lemma5" and args.eta is not None:
         # with --eta, lemma5 is the tail bound instead of its constant
         fn, flags = bounds.lemma5_bound, flags + ("eta",)
+    for flag in sorted(_BOUND_FLAGS):
+        if flag[2:] not in flags and getattr(args, flag[2:]) is not None:
+            raise ValueError(f"bounds {args.name} does not take {flag}")
     for flag in flags:
         if getattr(args, flag) is None:
             raise ValueError(f"bounds {args.name} requires --{flag}")
@@ -351,7 +357,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_run.set_defaults(func=cmd_run)
 
-    p_bounds = sub.add_parser("bounds", help="evaluate a closed-form guarantee")
+    # no abbreviations: a flag is joined to its value only when spelled out
+    p_bounds = sub.add_parser(
+        "bounds", help="evaluate a closed-form guarantee", allow_abbrev=False
+    )
     p_bounds.add_argument("name", choices=_BOUNDS)
     p_bounds.add_argument("--eta", type=float, help="learning rate")
     p_bounds.add_argument("--k", type=int, help="number of actions")
@@ -377,9 +386,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     return parser
-
-
-_BOUND_FLAGS = {f"--{flag}" for _, flags in _BOUNDS.values() for flag in flags}
 
 
 def _joined_bound_flags(argv: list[str]) -> list[str]:

@@ -17,7 +17,6 @@ import numpy as np
 
 __all__ = [
     "format_sig",
-    "trace_path",
     "write_trace_csv",
     "write_trace_csvs",
     "write_summary_csv",
@@ -107,23 +106,19 @@ def write_trace_csv(path, columns) -> Path:
     return path
 
 
-def trace_path(outdir, slug: str) -> Path:
-    """Where strategy ``slug``'s trace CSV goes in ``outdir``."""
-    return Path(outdir) / f"trace_{slug}.csv"
-
-
-def write_trace_csvs(result, outdir) -> list[Path]:
-    """One trace_<strategy>.csv per roster entry; returns the paths."""
-    Path(outdir).mkdir(parents=True, exist_ok=True)
-    paths = []
-    for slug in result.slugs:
-        # each header name after "round" is the result's column of that name
-        columns = [getattr(result, name)[slug] for name in TRACE_HEADER[1:]]
-        paths.append(write_trace_csv(trace_path(outdir, slug), columns))
-    return paths
+def write_trace_csvs(outdir, traces) -> list[Path]:
+    """One trace_<slug>.csv in ``outdir`` per entry of ``traces``, which maps
+    a strategy slug to its four columns (see ``write_trace_csv``); returns
+    the paths."""
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    return [write_trace_csv(outdir / f"trace_{slug}.csv", c) for slug, c in traces.items()]
 
 
 def write_summary_csv(result, outdir) -> Path:
+    """summary.csv in ``outdir``: one row per roster entry, with its final
+    mean regret and mean segment count, then the run's repetitions, horizon
+    and seed; returns the path."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / "summary.csv"

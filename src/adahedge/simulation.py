@@ -20,20 +20,19 @@ drawing its own run of counters.  Generation holds the stream plus one
 block, and the stream's bits do not depend on the block size.
 
 ``run_experiment`` averages each strategy's traces over the repetitions.
-One process makes a strategy's means from start to finish: it generates
-the streams in repetition order, adds each run's regret, loss and rate
-arrays into the strategy's sums, and divides the sums in place into the
-means.  Every sum is therefore ``0 + r0 + r1 + ...``, and aggregate output
-is byte-identical, whatever the thread count.  The sums, event counts and
-segment counts live in shared anonymous mappings made before any worker
-forks.  With more than one worker (``ADAHEDGE_THREADS``, else and at most
-the CPUs this process may run on), ``_run_tasks``, the one pool path, runs
-one task per strategy, so ``min(threads, strategies)`` run at once; it runs
-``verify``'s properties too.  A task carries only a strategy index and a
-trace path; the worker writes into the mappings it inherited and then
-writes that strategy's trace CSV.  With one worker or one strategy, or
-where the platform cannot fork, this process does it all and writes the
-traces at the end.
+One task, ``_means``, makes the means of the strategies it is given from
+start to finish: it generates the streams in repetition order, adds each
+run's regret, loss and rate arrays into the strategies' sums, divides the
+sums in place into the means and writes their trace CSVs.  Every sum is
+therefore ``0 + r0 + r1 + ...``, and aggregate output is byte-identical,
+whatever the thread count.  The sums, event counts and segment counts live
+in shared anonymous mappings made before any worker forks.  A run is one
+call of ``_run_tasks``, the one pool path, which runs ``verify``'s
+properties too: with one worker (``ADAHEDGE_THREADS``, else and at most the
+CPUs this process may run on), one strategy, or where the platform cannot
+fork, it runs one task over every strategy in this process; otherwise one
+task per strategy in a fork pool, so ``min(threads, strategies)`` run at
+once, each sent only its strategy's index.
 """
 
 from __future__ import annotations
@@ -372,15 +371,56 @@ def _columns(sums: np.ndarray) -> tuple:
     return (*sums[:3], sums[3].view(np.int64))
 
 
-def _accumulate(
-    config: ExperimentConfig, region: np.ndarray, counts: np.ndarray, indices
-) -> None:
-    """The means of roster entries ``indices``, made in their rows of ``region``.
+_inherited = ()  # in a pool worker, the shared arguments ``_run_tasks`` was given
 
-    Repetition by repetition, each entry's run on the stream is added into its
-    sums and event counts, and its segment count goes to ``counts[i, rep]``.
-    The sums start as the mapping's zeros, so each is ``0 + r0 + r1 + ...``
-    bit for bit (the first step turns -0.0 into 0.0), then is divided by R.
+
+def _inherit(*shared) -> None:
+    """Pool initializer; a forked worker gets ``shared`` by inheritance, unpickled."""
+    global _inherited
+    _inherited = shared
+
+
+def _with_inherited(fn, *args):
+    """A pool worker's call of ``fn``: the inherited shared arguments first."""
+    return fn(*_inherited, *args)
+
+
+def _pool_workers(threads: int, tasks: int) -> int:
+    """How many pool workers run ``tasks`` independent tasks at ``threads``:
+    at most one per task, and 1, meaning this process, where there is no fork."""
+    return 1 if _FORK is None else min(threads, tasks)
+
+
+def _run_tasks(tasks: list, *shared, threads: Optional[int] = None) -> list:
+    """``[fn(*shared, *args) for fn, *args in tasks]``, in this process at
+    one worker (see ``_resolve_threads`` and ``_pool_workers``), else in a
+    fork pool whose workers take the tasks in list order.  The only pool: its
+    workers inherit this process's imports and patches, and ``shared``, which
+    ``_with_inherited`` passes on; a task goes to a worker as its module-level
+    function and arguments, and only its value comes back.  A failed task
+    cancels those not yet started."""
+    workers = _pool_workers(_resolve_threads(threads), len(tasks))
+    if workers == 1:
+        return [fn(*shared, *args) for fn, *args in tasks]
+    pool = ProcessPoolExecutor(
+        max_workers=workers, mp_context=_FORK, initializer=_inherit, initargs=shared
+    )
+    try:
+        futures = [pool.submit(_with_inherited, *task) for task in tasks]
+        return [future.result() for future in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _means(config: ExperimentConfig, region: np.ndarray, counts: np.ndarray, indices) -> None:
+    """The task: the means of roster entries ``indices``, made in their rows
+    of ``region``, then their trace CSVs if ``config.output_dir`` is set.
+
+    Repetition by repetition, the stream is generated once, each entry's run
+    on it is added into its sums and event counts, and its segment count goes
+    to ``counts[i, rep]``.  The sums start as the mapping's zeros, so each is
+    ``0 + r0 + r1 + ...`` bit for bit (the first step turns -0.0 into 0.0),
+    then is divided by R.
     """
     reps = config.repetitions
     for rep in range(reps):
@@ -397,53 +437,9 @@ def _accumulate(
         del stream  # before the next stream
     for i in indices:
         region[i, :3] /= reps
-
-
-_inherited = None  # in a pool worker, the shared state ``_run_tasks`` was given
-
-
-def _inherit(*shared) -> None:
-    """Pool initializer; a forked worker gets ``shared`` by inheritance, unpickled."""
-    global _inherited
-    _inherited = shared
-
-
-def _pool_workers(threads: int, tasks: int) -> int:
-    """How many pool workers run ``tasks`` independent tasks at ``threads``:
-    at most one per task, and 1, meaning this process, where there is no fork."""
-    return 1 if _FORK is None else min(threads, tasks)
-
-
-def _run_tasks(tasks: list, *shared, threads: Optional[int] = None) -> list:
-    """``[fn(*args) for fn, *args in tasks]``, in this process at one worker
-    (see ``_resolve_threads`` and ``_pool_workers``), else in a fork pool
-    whose workers take the tasks in list order.  The only pool: its workers
-    inherit this process's imports and patches, and ``shared`` as
-    ``_inherited``.  A task goes to a worker as its module-level function and
-    arguments; only its value comes back.  A failed task cancels those not
-    yet started."""
-    workers = _pool_workers(_resolve_threads(threads), len(tasks))
-    if workers == 1:
-        return [fn(*args) for fn, *args in tasks]
-    pool = ProcessPoolExecutor(
-        max_workers=workers, mp_context=_FORK, initializer=_inherit, initargs=shared
-    )
-    try:
-        futures = [pool.submit(*task) for task in tasks]
-        return [future.result() for future in futures]
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
-def _strategy(index: int, path: Optional[Path]) -> None:
-    """Worker job: roster entry ``index``'s means in the inherited mapping,
-    then its trace CSV at ``path`` if there is one; module-level so that
-    process pools can pickle it."""
-    config, region, counts = _inherited
-    _accumulate(config, region, counts, (index,))
-    if path is not None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        reports.write_trace_csv(path, _columns(region[index]))
+    if config.output_dir is not None:
+        traces = {config.strategies[i].slug: _columns(region[i]) for i in indices}
+        reports.write_trace_csvs(config.output_dir, traces)
 
 
 def run_experiment(
@@ -451,21 +447,19 @@ def run_experiment(
 ) -> AggregateResult:
     """All repetitions of an experiment, averaged per strategy.
 
-    One process makes each strategy's means from start to finish: this one
-    for every strategy, or, with more than one worker, one ``_run_tasks``
-    pool worker per strategy, so at most ``min(threads, strategies)`` run at
-    once (``threads`` defaults to ``ADAHEDGE_THREADS``, else the CPUs this
-    process may run on, and is capped by those CPUs).  A worker is sent only
-    a strategy index and a trace path; its sums go to a shared mapping, so
-    every float in the output is the same at any ``threads``.  When
-    ``config.output_dir`` is set, trace and summary CSVs are written there,
-    each trace by the process that made its means.
+    ``threads`` defaults to ``ADAHEDGE_THREADS``, else the CPUs this process
+    may run on, and is capped by those CPUs.  The run is one ``_run_tasks``
+    call of ``_means``: at one worker, one task over every strategy, which
+    generates each repetition's stream once; else one task per strategy, so
+    at most ``min(threads, strategies)`` run at once.  A task makes its
+    strategies' means in a shared mapping, so every float in the output is
+    the same at any ``threads``, and, when ``config.output_dir`` is set,
+    writes their trace CSVs there; this process then writes the summary CSV.
     """
     threads = _resolve_threads(threads)
     reps = config.repetitions
     t_total = config.horizon_t
     slugs = config.slugs
-    outdir = config.output_dir
 
     # every strategy's three sums and event counts, and its segment counts,
     # before any worker forks
@@ -478,17 +472,13 @@ def run_experiment(
         dict(zip(slugs, counts)),
     )
 
-    if _pool_workers(threads, len(slugs)) == 1:
-        _accumulate(config, region, counts, range(len(slugs)))
-        if outdir is not None:
-            reports.write_trace_csvs(result, outdir)
-    else:
-        paths = [None if outdir is None else reports.trace_path(outdir, s) for s in slugs]
-        tasks = [(_strategy, i, path) for i, path in enumerate(paths)]
-        _run_tasks(tasks, config, region, counts, threads=threads)
+    every = range(len(slugs))
+    one = _pool_workers(threads, len(slugs)) == 1
+    tasks = [(_means, every)] if one else [(_means, (i,)) for i in every]
+    _run_tasks(tasks, config, region, counts, threads=threads)
 
-    if outdir is not None:
-        reports.write_summary_csv(result, outdir)
+    if config.output_dir is not None:
+        reports.write_summary_csv(result, config.output_dir)
     return result
 
 

@@ -345,9 +345,22 @@ class TestReportWriters:
         files["summary.csv"] = buf.getvalue()
         return files
 
+    @staticmethod
+    def traces(result):
+        """Slug -> the four trace columns, in ``TRACE_HEADER`` order after the round."""
+        return {
+            slug: (
+                result.mean_regret[slug],
+                result.mean_cum_loss[slug],
+                result.mean_eta[slug],
+                result.segment_events[slug],
+            )
+            for slug in result.slugs
+        }
+
     def test_edge_values_match_csv_module(self, tmp_path):
         result = self.edge_result()
-        write_trace_csvs(result, tmp_path)
+        write_trace_csvs(tmp_path, self.traces(result))
         write_summary_csv(result, tmp_path)
         want = self.reference(result)
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(want)
@@ -374,7 +387,7 @@ class TestReportWriters:
         )
 
     def assert_matches_reference(self, result, outdir):
-        write_trace_csvs(result, outdir)
+        write_trace_csvs(outdir, self.traces(result))
         write_summary_csv(result, outdir)
         for name, text in self.reference(result).items():
             assert (outdir / name).read_bytes() == text.encode(), name
@@ -447,10 +460,10 @@ class TestReportWriters:
         # which keeps tracemalloc's cost per Python object down
         regret, loss = rng.random(256)[rng.integers(0, 256, (2, n))]
         eta = rng.choice([1.0, 0.5, 0.25], n)
-        result = self.one_trace(regret, loss, eta, rng.integers(0, 2, n))
+        traces = self.traces(self.one_trace(regret, loss, eta, rng.integers(0, 2, n)))
         tracemalloc.start()
         try:
-            write_trace_csvs(result, tmp_path)
+            write_trace_csvs(tmp_path, traces)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -776,6 +789,46 @@ class TestBoundsCommand:
         spaced = main(["bounds", "budget", f"--{flag}", value, *other]), capsys.readouterr()
         joined = main(["bounds", "budget", f"--{flag}={value}", *other]), capsys.readouterr()
         assert spaced == joined
+
+    # flags each bound takes, with values it accepts
+    TAKEN = {
+        "budget": ["--eta", "1", "--k", "4"],
+        "lemma2": ["--eta", "0.5", "--lstar", "1", "--k", "2"],
+        "eta-floor": ["--lstar", "100", "--k", "4"],
+        "theorem1": ["--lstar", "100", "--k", "4"],
+        "lemma3": ["--m", "3", "--k", "2", "--phi", "2"],
+        "factor": ["--phi", "2"],
+        "lemma4": ["--eta", "1", "--wstar", "0.5"],
+        "lemma5": ["--k", "2", "--alpha", "0.2", "--beta", "1"],
+        "intro-mstar": ["--alpha", "0.2", "--phi", "2"],
+        "theorem3-mstar": ["--alpha", "0.2", "--delta", "0.5", "--k", "2", "--phi", "2"],
+        "lemma6-tau": ["--mstar", "4", "--k", "2", "--alpha", "0.2", "--beta", "1",
+                       "--phi", "2"],
+    }
+
+    @pytest.mark.parametrize("name", sorted(adahedge.cli._BOUNDS))
+    def test_flag_the_bound_does_not_take_is_refused(self, name, capsys):
+        """As a config key its generator does not take is: exit 2, naming
+        the flag, where it used to be ignored; lemma5's --eta is optional."""
+        taken = self.TAKEN[name]
+        assert main(["bounds", name, *taken]) == 0
+        capsys.readouterr()
+        optional = {"--eta"} if name == "lemma5" else set()
+        others = sorted(adahedge.cli._BOUND_FLAGS - set(taken) - optional)
+        for flag in others:
+            assert main(["bounds", name, *taken, flag, "1"]) == 2
+            assert capsys.readouterr() == ("", f"error: bounds {name} does not take {flag}\n")
+
+    def test_abbreviated_flag_is_refused(self, capsys):
+        """Only a flag spelled out is joined to a spaced value, so argparse
+        takes no abbreviation: --et is refused, and --eta still reaches its
+        rule with a negative value."""
+        for value in ("0.5", "-1e300"):
+            assert main(["bounds", "budget", "--et", value, "--k", "2"]) == 2
+            captured = capsys.readouterr()
+            assert not captured.out and "unrecognized arguments: --et" in captured.err
+        assert main(["bounds", "budget", "--eta", "-1e300", "--k", "2"]) == 2
+        assert capsys.readouterr().err == "error: eta must be in (0, inf), got -1e+300\n"
 
     def test_domain_violation_is_an_error(self, capsys):
         assert main(["bounds", "lemma2", "--eta", "1.5", "--lstar", "1", "--k", "2"]) == 2

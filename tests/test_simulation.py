@@ -597,7 +597,8 @@ class TestFanOut:
     def test_calls_through_the_module_names(self, tmp_path, monkeypatch):
         """The names the per-layer benchmark wraps: ``generate`` once per
         repetition, ``run`` once per strategy and repetition, and the trace
-        writer once with the result and the output directory."""
+        writer once with the output directory and every strategy's columns,
+        in roster order."""
         calls = {"generate": 0, "run": 0}
         written = []
         for name in calls:
@@ -619,8 +620,12 @@ class TestFanOut:
         result = run_experiment(cfg, threads=1)
         assert calls == {"generate": 3, "run": 9}
         assert len(written) == 1
-        (args, kwargs), = written
-        assert args[0] is result and args[1] == tmp_path and not kwargs
+        ((outdir, traces), kwargs), = written
+        assert outdir == tmp_path and not kwargs and list(traces) == cfg.slugs
+        for slug, columns in traces.items():
+            fields = (result.mean_regret, result.mean_cum_loss, result.mean_eta)
+            want = [field[slug] for field in fields] + [result.segment_events[slug]]
+            assert [c.tobytes() for c in columns] == [w.tobytes() for w in want]
 
     def test_without_fork_runs_in_this_process_at_any_thread_count(
         self, tmp_path, monkeypatch
@@ -638,22 +643,32 @@ class TestFanOut:
         written = []
         write = reports_mod.write_trace_csvs
 
-        def recorded(result, outdir):
-            written.append(outdir)
-            return write(result, outdir)
+        def recorded(outdir, traces):
+            written.append((outdir, list(traces)))
+            return write(outdir, traces)
 
         monkeypatch.setattr(reports_mod, "write_trace_csvs", recorded)
         want = _reference(self.config(3))
         result = run_experiment(self.config(3, tmp_path / "t2"), threads=2)
         for field in FIELDS:
             _assert_same_bits(getattr(result, field), want[field])
-        assert written == [tmp_path / "t2"]
+        assert written == [(tmp_path / "t2", result.slugs)]
         run_experiment(self.config(3, tmp_path / "t1"), threads=1)
         files = [
             {p.name: p.read_bytes() for p in sorted((tmp_path / t).iterdir())}
             for t in ("t1", "t2")
         ]
         assert len(files[0]) == len(self.ROSTER) + 1 and files[0] == files[1]
+
+    def test_the_parent_keeps_no_shared_arguments(self, monkeypatch):
+        """``_run_tasks`` hands the config and the mappings to the task as
+        arguments, so after a run in this process or in the pool the
+        module's ``_inherited`` is still empty: no global keeps the mappings
+        alive (16 MB for ``alternating.cfg``)."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        for threads in (1, 2):
+            run_experiment(self.config(2), threads=threads)
+            assert simulation_mod._inherited == ()
 
     def test_holds_the_means_and_one_repetition(self):
         """At one thread the traced peak stays within one repetition's
@@ -757,25 +772,28 @@ KIND = st.one_of(
 class TestEveryPoolPath:
     """Small experiments drawn at random give the same arrays bit for bit
     and the same files byte for byte in this process at one thread, in a
-    fork pool at two, and at two where the platform cannot fork; the arrays
-    are the definition's: each strategy's runs summed from zeros in
-    repetition order and divided by R.  Horizons up to 600 cross the
-    strategy kernel's first block of 256 rounds."""
+    fork pool at two to four threads on as many CPUs (fewer workers than
+    strategies, as many, or more, capped at one per strategy), and at the
+    same count where the platform cannot fork; the arrays are the
+    definition's: each strategy's runs summed from zeros in repetition order
+    and divided by R.  Horizons up to 600 cross the strategy kernel's first
+    block of 256 rounds."""
 
     @settings(max_examples=25, deadline=None)
     @given(
+        pooled=st.integers(2, 4),
         generator=GENERATOR,
         horizon_t=st.integers(1, 600),
         repetitions=st.integers(1, 5),
         strategies=st.lists(KIND, min_size=1, max_size=4, unique_by=lambda kind: kind.slug),
         base_seed=st.integers(0, 2**64 - 1),
     )
-    def test_same_bits_and_bytes_on_every_path(self, **drawn):
+    def test_same_bits_and_bytes_on_every_path(self, pooled, **drawn):
         want = _reference(ExperimentConfig(**drawn))
         files = []
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
-            patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-            for case, threads in (("one", 1), ("pool", 2), ("no_fork", 2)):
+            patch.setattr(os, "sched_getaffinity", lambda pid: set(range(pooled)))
+            for case, threads in (("one", 1), ("pool", pooled), ("no_fork", pooled)):
                 if case == "no_fork":
                     patch.setattr(simulation_mod, "_FORK", None)
                 outdir = Path(tmp, case)

@@ -7,6 +7,15 @@ alone maps a ``ValueError`` to 2 and an ``OSError`` to 3.
 
 from __future__ import annotations
 
+import os
+
+# numpy's bundled OpenBLAS starts one thread per CPU as it loads, and each
+# extra thread spins for about 0.1 s of CPU before it sleeps.  adahedge calls
+# no BLAS routine, so the CLI process loads it with one thread; a value the
+# caller set wins.  Set here, not in the package, so importing the library
+# leaves its user's BLAS settings alone.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import argparse
 import math
 import re

@@ -455,8 +455,15 @@ def run_experiment(
     strategies' means in a shared mapping, so every float in the output is
     the same at any ``threads``, and, when ``config.output_dir`` is set,
     writes their trace CSVs there; this process then writes the summary CSV.
+    An ``output_dir`` that passes through a file is a ``NotADirectoryError``
+    before any strategy runs.
     """
     threads = _resolve_threads(threads)
+    if config.output_dir is not None:  # the first of it and its ancestors that exists
+        outdir = config.output_dir
+        first = next(path for path in (outdir, *outdir.parents) if path.exists())
+        if not first.is_dir():
+            raise NotADirectoryError(f"output_dir {outdir}: {first} is not a directory")
     reps = config.repetitions
     t_total = config.horizon_t
     slugs = config.slugs

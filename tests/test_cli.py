@@ -559,6 +559,40 @@ class TestRunCommand:
         )
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize(
+        "below", [(), ("sub",), ("sub", "deeper")], ids=["file", "file-sub", "file-sub-deeper"]
+    )
+    def test_output_dir_through_a_file_runs_nothing(
+        self, tmp_path, capsys, monkeypatch, threads, below
+    ):
+        """Refused before any strategy runs, and nothing is made. A forked
+        worker inherits the patched ``run``, so every call leaves a line on
+        disk."""
+        import adahedge.simulation as simulation_mod
+
+        calls = tmp_path / "calls"
+
+        def count(*args):
+            with open(calls, "a") as fh:
+                fh.write("run\n")
+            raise AssertionError("run was called")
+
+        monkeypatch.setenv("ADAHEDGE_THREADS", threads)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(simulation_mod, "run", count)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker.joinpath(*below)
+        path = self.write(tmp_path, VALID.format(out=out))
+        assert main(["run", str(path)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: output_dir {out}: {blocker} is not a directory\n"
+        )
+        assert not calls.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg", "file"]
+        assert blocker.read_text() == ""
+
     def test_dry_run_caps_threads_at_cpu_count(self, tmp_path, capsys, monkeypatch):
         """The cap is the CPUs this process may run on, not the machine's."""
         monkeypatch.setenv("ADAHEDGE_THREADS", "1000000")

@@ -139,10 +139,10 @@ def _as_floats(name: str, values) -> list[float]:
     return out
 
 
-def _coerce_losses(values, k: int | None = None) -> list[float]:
-    """Validate one round of losses and return them as a plain float list."""
+def _coerce_losses(values, k: int) -> list[float]:
+    """Validate one round of ``k`` losses and return them as a plain float list."""
     out = _as_floats("loss", values)
-    if k is not None and len(out) != k:
+    if len(out) != k:
         raise ValueError(f"expected {k} losses, got {len(out)}")
     lo, hi = -LOSS_RANGE_TOL, 1.0 + LOSS_RANGE_TOL
     for v in out:

@@ -51,7 +51,7 @@ import numpy as np
 
 from . import reports
 from .core import _check_int, _check_real, _in_order, _shown
-from .strategies import AdaHedge, DoublingHedge, _Kind, run
+from .strategies import KINDS, _Kind, _Restarting, run
 
 __all__ = [
     "THREADS_ENV",
@@ -287,7 +287,7 @@ class ExperimentConfig:
     output_dir: Optional[Path] = None
 
     def __post_init__(self):
-        if not isinstance(self.generator, _Generator):
+        if not isinstance(self.generator, tuple(GENERATORS.values())):
             raise TypeError(f"generator must be a generator spec, got {self.generator!r}")
         object.__setattr__(self, "horizon_t", _check_int("horizon_t", self.horizon_t, 1))
         object.__setattr__(self, "repetitions", _check_int("repetitions", self.repetitions, 1))
@@ -295,7 +295,7 @@ class ExperimentConfig:
         object.__setattr__(self, "strategies", tuple(_in_order("strategies", self.strategies)))
         if not self.strategies:
             raise ValueError("need at least one strategy")
-        if not all(isinstance(kind, _Kind) for kind in self.strategies):
+        if not all(isinstance(kind, tuple(KINDS.values())) for kind in self.strategies):
             raise TypeError(f"strategies must be strategy kinds, got {self.strategies!r}")
         slugs = [kind.slug for kind in self.strategies]
         if len(set(slugs)) != len(slugs):
@@ -495,12 +495,12 @@ def segment_statistics(result: AggregateResult, strategy) -> SegmentStats:
     ``strategy`` may be the kind record or its slug; it must name an
     AdaHedge or DoublingHedge entry present in the result.
     """
-    slug = strategy.slug if isinstance(strategy, _Kind) else strategy
+    slug = strategy.slug if isinstance(strategy, tuple(KINDS.values())) else strategy
     if not isinstance(slug, str):
         raise TypeError(f"strategy must be a strategy kind or its slug, got {_shown(strategy)}")
     for kind in result.config.strategies:
         if kind.slug == slug:
-            if not isinstance(kind, (AdaHedge, DoublingHedge)):
+            if not isinstance(kind, _Restarting):
                 raise ValueError(f"{slug} is not a restart (doubling-type) strategy")
             counts = result.segments_started[slug]
             values, freq = np.unique(counts, return_counts=True)  # values come sorted

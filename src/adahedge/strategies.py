@@ -84,7 +84,7 @@ class _Kind:
 
     @property
     def slug(self) -> str:
-        name = next(n for n, cls in KINDS.items() if cls is type(self))
+        name = next(n for n, cls in KINDS.items() if isinstance(self, cls))
         return name + "".join(
             f"_{f.name}{_slug_number(getattr(self, f.name))}" for f in fields(self)
         )

@@ -17,6 +17,7 @@ value, which this generator does not reproduce; see the README).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -90,15 +91,6 @@ def _sample_blocks(seed: int, count: int, eta_hi: float):
         u = unit_uniforms(derive_seed(seed, j), m * (2 * k + 1)).reshape(m, 2 * k + 1)
         raw = -np.log1p(-u[:, :k])
         yield raw / raw.sum(axis=1, keepdims=True), u[:, k : 2 * k], eta_hi * (1.0 - u[:, 2 * k])
-
-
-def _sample_rounds(seed: int, count: int, eta_hi: float):
-    """The rounds of ``_sample_blocks`` as (weights, losses, eta) lists."""
-    return [
-        round_
-        for ws, losses, etas in _sample_blocks(seed, count, eta_hi)
-        for round_ in zip(ws.tolist(), losses.tolist(), etas.tolist())
-    ]
 
 
 def _block_gaps(ws: np.ndarray, losses: np.ndarray, etas: np.ndarray):
@@ -192,10 +184,11 @@ def _check_factorization(
             worst = max(worst, abs(log_marginal_likelihood(cum, eta) - summed))
     # every action loses exactly 1 over the two rounds, so the two factors
     # multiply to exp(-eta) whatever the prior
-    for w, l, eta in _sample_rounds(derive_seed(seed, streams), samples, 4.0):
-        after = posterior_update(w, l, eta)
-        pair = mix_loss(w, l, eta) + mix_loss(after, [1.0 - x for x in l], eta)
-        worst = max(worst, abs(pair - 1.0))
+    for ws, losses, etas in _sample_blocks(derive_seed(seed, streams), samples, 4.0):
+        for w, l, eta in zip(ws.tolist(), losses.tolist(), etas.tolist()):
+            after = posterior_update(w, l, eta)
+            pair = mix_loss(w, l, eta) + mix_loss(after, [1.0 - x for x in l], eta)
+            worst = max(worst, abs(pair - 1.0))
     ok = worst <= ACCUMULATED_TOL
     detail = (
         f"{streams} streams (T={t}, K={k}) and {samples} two-round priors, "
@@ -246,9 +239,8 @@ def _check_depletion_window(seed: int, streams: int, t: int = 2000, k: int = 5) 
 
 
 def _lemma3_excess(trace, k: int, phi: float) -> float:
-    by_segment = {int(m): bounds.lemma3_bound(int(m), k, phi) for m in np.unique(trace.segment)}
-    limits = np.array([by_segment[int(m)] for m in trace.segment])
-    return float(np.max(trace.regret - limits))
+    caps = [bounds.lemma3_bound(m, k, phi) for m in range(1, trace.segments_started + 1)]
+    return float(np.max(trace.regret - np.array(caps)[trace.segment - 1]))
 
 
 def _check_restart_regret(seed: int, streams: int, t: int = 600) -> tuple[bool, str]:
@@ -320,51 +312,43 @@ def _check_posterior_tail(seed: int, t: int) -> tuple[bool, str]:
     return ok, detail
 
 
+# (calculator, the values of each argument): bound-domain-grid evaluates each
+# calculator at every combination, in argument order
+_KS, _PHIS = (2, 4, 16), (1.1, 1.5, 2.0, 3.0)
+_ALPHAS, _BETAS = (0.1, 0.5, 1.0), (0.6, 1.0, 2.0)
+_BOUND_GRID = (
+    ("budget", ((1e-6, 0.25, 1.0, 4.0), _KS)),
+    ("lemma2_bound", ((1e-6, 0.5, 1.0), (0.0, 1.0, 1e5), _KS)),
+    ("eta_floor", ((1e-6, 1.0, 1e5), _KS)),
+    ("theorem1_bound", ((0.0, 1.0, 1e5), _KS)),
+    ("lemma3_bound", ((1, 3, 10), _KS, (1.5, 2.0, bounds.GOLDEN_RATIO))),
+    ("lemma5_ck", (_KS, _ALPHAS, _BETAS)),
+    ("lemma5_bound", (_KS, _ALPHAS, _BETAS, (0.25, 1.0))),
+    ("theorem2_leading_factor", (_PHIS,)),
+    ("intro_mstar", ((0.05, 0.2, 1.0), _PHIS)),
+    ("theorem3_mstar", ((0.025, 0.25, 0.5), (0.05, 1.0), (4,), _PHIS)),
+    ("lemma6_tau", ((1, 4), (2,), (0.2,), (1.0,), _PHIS)),
+)
+# the calculators that return a count: a segment cap or a round
+_COUNTS = ("intro_mstar", "theorem3_mstar", "lemma6_tau")
+
+
 def _check_bound_domain(seed: int) -> tuple[bool, str]:
-    """Every calculator is finite (and nonnegative where real-valued) on a
-    grid of in-domain parameters."""
+    """Every calculator on its ``_BOUND_GRID`` rows is in range: a count an
+    int >= 1, any other value finite and nonnegative."""
     bad = []
-
-    def real(label, value):
-        if not (math.isfinite(value) and value >= 0.0):
-            bad.append(f"{label} = {value!r}")
-
-    for k in (2, 4, 16):
-        for eta in (1e-6, 0.25, 1.0, 4.0):
-            real(f"budget({eta},{k})", bounds.budget(eta, k))
-        for eta in (1e-6, 0.5, 1.0):
-            for lstar in (0.0, 1.0, 1e5):
-                real(f"lemma2({eta},{lstar},{k})", bounds.lemma2_bound(eta, lstar, k))
-        for lstar in (1e-6, 1.0, 1e5):
-            real(f"eta_floor({lstar},{k})", bounds.eta_floor(lstar, k))
-        for lstar in (0.0, 1.0, 1e5):
-            real(f"theorem1({lstar},{k})", bounds.theorem1_bound(lstar, k))
-        for m in (1, 3, 10):
-            for phi in (1.5, 2.0, bounds.GOLDEN_RATIO):
-                real(f"lemma3({m},{k},{phi:.3g})", bounds.lemma3_bound(m, k, phi))
-        for alpha in (0.1, 0.5, 1.0):
-            for beta in (0.6, 1.0, 2.0):
-                real(f"lemma5_ck({k},{alpha},{beta})", bounds.lemma5_ck(k, alpha, beta))
-                for eta in (0.25, 1.0):
-                    real(
-                        f"lemma5({k},{alpha},{beta},{eta})",
-                        bounds.lemma5_bound(k, alpha, beta, eta),
-                    )
-    for phi in (1.1, 1.5, 2.0, 3.0):
-        real(f"factor({phi})", bounds.theorem2_leading_factor(phi))
-        for alpha in (0.05, 0.2, 1.0):
-            m = bounds.intro_mstar(alpha, phi)
-            if m < 1:
-                bad.append(f"intro_mstar({alpha},{phi}) = {m}")
-        for alpha in (0.025, 0.25, 0.5):
-            for delta in (0.05, 1.0):
-                m = bounds.theorem3_mstar(alpha, delta, 4, phi)
-                if m < 1:
-                    bad.append(f"theorem3_mstar({alpha},{delta},4,{phi}) = {m}")
-        for mstar in (1, 4):
-            tau = bounds.lemma6_tau(mstar, 2, 0.2, 1.0, phi)
-            if not isinstance(tau, int) or tau < 1:
-                bad.append(f"lemma6_tau({mstar},...) = {tau!r}, not a round >= 1")
+    for name, grid in _BOUND_GRID:
+        # looked up by name when called, as bench/tracing.py rebinds this
+        # module's ``bounds`` to a namespace of timing wrappers
+        fn = getattr(bounds, name)
+        for args in itertools.product(*grid):
+            value = fn(*args)
+            if name in _COUNTS:
+                ok = isinstance(value, int) and value >= 1
+            else:
+                ok = math.isfinite(value) and value >= 0.0
+            if not ok:
+                bad.append(f"{name}({', '.join(map(repr, args))}) = {value!r}")
     detail = "; ".join(bad) if bad else "all grid evaluations finite and in range"
     return not bad, detail
 

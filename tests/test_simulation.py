@@ -20,6 +20,7 @@ from adahedge.simulation import (
     ExperimentConfig,
     FtlKiller,
     IidBernoulli,
+    _Generator,
     derive_seed,
     generate,
     run_experiment,
@@ -33,6 +34,7 @@ from adahedge.strategies import (
     FollowTheLeader,
     OracleHedge,
     VariableHedge,
+    _Kind,
     run,
 )
 
@@ -310,6 +312,10 @@ class _FsPath:
         return f"_FsPath({self.value!r})"
 
 
+class _MyAda(AdaHedge):
+    pass
+
+
 class TestExperimentConfig:
     def small(self, **overrides):
         kwargs = dict(
@@ -359,6 +365,35 @@ class TestExperimentConfig:
     def test_rejects_roster_entry_that_is_not_a_kind(self):
         with pytest.raises(TypeError, match="strategies"):
             self.small(strategies=(FollowTheLeader(), "ftl"))
+
+    def test_subclass_of_a_registered_kind_is_that_kind(self):
+        """Its slug is its registered kind's, so a roster holding both is a
+        duplicate, and it plays, and is counted, as that kind."""
+        assert _MyAda().slug == "adahedge_phi2"
+        with pytest.raises(ValueError, match="duplicate"):
+            self.small(strategies=(_MyAda(), AdaHedge()))
+        got = run_experiment(self.small(strategies=(_MyAda(),)), threads=1)
+        want = run_experiment(self.small(strategies=(AdaHedge(2.0),)), threads=1)
+        for field in ("mean_regret", "mean_cum_loss", "mean_eta", "segment_events"):
+            assert getattr(got, field)["adahedge_phi2"].tobytes() == (
+                getattr(want, field)["adahedge_phi2"].tobytes()
+            ), field
+        assert segment_statistics(got, _MyAda()) == segment_statistics(want, AdaHedge(2.0))
+
+    def test_rejects_unregistered_kind_and_generator(self):
+        """A subclass of the bases that no registry names is refused here,
+        not when its slug is read or its stream generated."""
+
+        class Mine(_Kind):
+            pass
+
+        class Stream(_Generator):
+            pass
+
+        with pytest.raises(TypeError, match="strategies must be strategy kinds"):
+            self.small(strategies=(Mine(),))
+        with pytest.raises(TypeError, match="generator must be a generator spec"):
+            self.small(generator=Stream())
 
     @pytest.mark.parametrize(
         "roster", [{AdaHedge(2.0)}, {AdaHedge(2.0): 1}, None, 5], ids=repr

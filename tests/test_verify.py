@@ -14,13 +14,16 @@ strategies go through the same pool.
 import math
 import os
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import adahedge.bounds as bounds_mod
 import adahedge.core as core_mod
 import adahedge.simulation as simulation_mod
 import adahedge.verify as verify_mod
+from adahedge import cli
 from adahedge.cli import main
 from adahedge.core import WeightSnapshot, mixability_gap
 from adahedge.simulation import ExperimentConfig, IidBernoulli, derive_seed, run_experiment
@@ -69,18 +72,6 @@ def test_block_gaps_take_no_fallback_at_sampled_rates(monkeypatch):
     monkeypatch.setattr(core_mod, "_logsumexp", None)  # any call would raise
     for block in verify_mod._sample_blocks(5, 7 * 300, 4.0):
         verify_mod._block_gaps(*block)
-
-
-def test_sample_rounds_are_the_blocks_rows():
-    blocks = list(verify_mod._sample_blocks(11, 100, 1.0))
-    rounds = verify_mod._sample_rounds(11, 100, 1.0)
-    assert len(rounds) == 100 and [len(b[0]) for b in blocks] == [16] + [14] * 6
-    i = 0
-    for ws, losses, etas in blocks:
-        for r in range(len(ws)):
-            w, l, eta = rounds[i]
-            assert w == ws[r].tolist() and l == losses[r].tolist() and eta == float(etas[r])
-            i += 1
 
 
 @pytest.fixture(scope="module")
@@ -253,3 +244,63 @@ class TestFanOut:
         with pytest.raises(LookupError, match="raised in ") as info:
             run_experiment(self.EXPERIMENT, threads=2)
         assert int(str(info.value).split()[-1]) != os.getpid()
+
+
+_IN_RANGE = (True, "all grid evaluations finite and in range")
+
+
+@pytest.mark.parametrize(
+    "name,value,label",
+    [
+        ("lemma3_bound", math.nan, "lemma3_bound(1, 2, 1.5) = nan"),
+        ("theorem1_bound", -1.0, "theorem1_bound(0.0, 2) = -1.0"),
+        ("intro_mstar", 0, "intro_mstar(0.05, 1.1) = 0"),
+        ("lemma6_tau", 16.0, "lemma6_tau(1, 2, 0.2, 1.0, 1.1) = 16.0"),
+    ],
+    ids=["nan", "negative", "zero-count", "float-round"],
+)
+def test_bound_domain_fails_on_one_wrong_calculator(monkeypatch, name, value, label):
+    """A non-finite or negative value, a count below 1, and a round that is
+    not an int each fail the property, on that calculator's labels alone."""
+    assert verify_mod._check_bound_domain(0) == _IN_RANGE
+    monkeypatch.setattr(bounds_mod, name, lambda *args: value)
+    ok, detail = verify_mod._check_bound_domain(0)
+    assert not ok
+    labels = detail.split("; ")
+    assert label in labels
+    assert all(part.startswith(f"{name}(") for part in labels)
+
+
+def test_bound_grid_rows_are_the_calculators():
+    """Each calculator is one grid row, save Lemma 4's, which
+    gap-posterior-lemma4 evaluates on every sample; and each is reachable
+    through ``adahedge bounds``, ``lemma5_bound`` as ``lemma5 --eta``."""
+    calculators = {n for n in bounds_mod.__all__ if callable(getattr(bounds_mod, n))}
+    names = [name for name, _ in verify_mod._BOUND_GRID]
+    assert sorted(names) == sorted(calculators - {"lemma4_bound"})
+    assert {fn.__name__ for fn, _ in cli._BOUNDS.values()} == calculators - {"lemma5_bound"}
+    args = ["--k", "3", "--alpha", "0.5", "--beta", "1", "--eta", "0.25"]
+    assert cli._evaluate_bound(cli._build_parser().parse_args(["bounds", "lemma5", *args])) == (
+        bounds_mod.lemma5_bound(3, 0.5, 1.0, 0.25)
+    )
+
+
+def test_bound_grid_looks_each_calculator_up_when_called(monkeypatch):
+    """With ``verify.bounds`` rebound to counting wrappers, as the bench's
+    tracer does, every grid call goes through them: a table that bound the
+    functions at import would count none."""
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return wrapper
+
+    view = {n: getattr(bounds_mod, n) for n in bounds_mod.__all__}
+    view = {n: counted(n, v) if callable(v) else v for n, v in view.items()}
+    monkeypatch.setattr(verify_mod, "bounds", SimpleNamespace(**view))
+    assert verify_mod._check_bound_domain(0) == _IN_RANGE
+    assert len(calls) == 213
+    assert set(calls) == {name for name, _ in verify_mod._BOUND_GRID}

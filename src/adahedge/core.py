@@ -15,7 +15,9 @@ one contract:
   (``_exp``); the other three call the ``math`` function once per distinct
   bit pattern in the block and gather the results back (``_map``);
 - every sum over actions adds in sequence from 0.0, as the scalar loops do,
-  never with ``np.sum``, whose pairwise order rounds differently.
+  never in ``np.sum``'s pairwise order, which rounds differently: in one
+  ``np.add.reduce`` call where numpy's order is the rows' (a C-contiguous
+  block of at least two columns), else one row at a time (``_action_sums``).
 
 Tolerances used across the package and its test suite are fixed here:
 ``PER_OP_TOL`` for single operation chains, ``ACCUMULATED_TOL`` for
@@ -330,7 +332,10 @@ def _map(fn, x: np.ndarray) -> np.ndarray:
     back into ``x``'s shape.  Keying on bits keeps ``-0.0`` apart from
     ``0.0`` and one NaN payload apart from another, so a NaN keeps its
     payload where ``fn`` does.  The kernels map ``log``, ``expm1`` and
-    ``log1p`` through it; ``exp`` goes through ``_exp``."""
+    ``log1p`` through it; ``exp`` goes through ``_exp``.  A block of gaps
+    with at most two bit patterns (0/1 losses) skips the sort of the
+    block: ``block_hedge_and_mix_loss`` maps only the two values per
+    column and spreads the results."""
     bits, inverse = np.unique(x.view(np.int64), return_inverse=True)
     values = np.fromiter(map(fn, bits.view(np.float64).tolist()), np.float64, bits.size)
     return values[inverse].reshape(x.shape)
@@ -352,7 +357,14 @@ def _exp(x: np.ndarray) -> np.ndarray:
 
 
 def _action_sums(x: np.ndarray) -> np.ndarray:
-    """Sums over axis 0 (the actions), each added in sequence from 0.0."""
+    """Sums over axis 0 (the actions), each added in sequence from 0.0.
+
+    numpy sums pairwise only along the contiguous axis.  Over the rows of a
+    C-contiguous block of two or more columns it adds each column in row
+    order, so one call does; on one column or a transposed view axis 0 is
+    the contiguous axis, and the rows are added one at a time."""
+    if x.ndim == 2 and x.shape[1] >= 2 and x.flags.c_contiguous:
+        return np.add.reduce(x, axis=0, initial=0.0)
     acc = np.zeros(x.shape[1:])
     for row in x:
         acc += row
@@ -371,18 +383,29 @@ def block_hedge_and_mix_loss(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``hedge_and_mix_loss`` for every column of ``weights``, ``losses``
     and ``log_weights`` (K, rows); ``eta`` is one rate or one per column.
-    Columns that need the logsumexp fallback take the scalar one."""
+    Columns that need the logsumexp fallback take the scalar one.  When the
+    gaps ``l - min l`` hold at most two bit patterns, as on 0/1 losses,
+    expm1 is taken of the two values per column, not of every element."""
     m = losses.min(axis=0)
-    shifted = -eta * (losses - m)
+    gaps = losses - m
     hedge = _action_sums(weights * losses)
     wsum = _action_sums(weights)
-    ratio = _action_sums(weights * _map(math.expm1, shifted)) / wsum
+    bits = gaps.view(np.int64)
+    lo, hi = (bits.min(), bits.max()) if bits.size else (0, 0)
+    is_hi = bits == hi
+    if (is_hi | (bits == lo)).all():
+        pair = _map(math.expm1, -eta * np.array([[lo], [hi]]).view(np.float64))
+        terms = np.where(is_hi, pair[1], pair[0])
+    else:
+        terms = _map(math.expm1, -eta * gaps)
+    ratio = _action_sums(weights * terms) / wsum
     eta = np.broadcast_to(eta, m.shape)
     fine = ratio > -1.0 + 2.0**-10
     mix = np.empty_like(m)
     mix[fine] = m[fine] - _map(math.log1p, ratio[fine]) / eta[fine]
-    for j in np.flatnonzero(~fine):  # log_weights + shifted is a - eta * (l - m)
-        mix[j] = m[j] - _logsumexp((log_weights[:, j] + shifted[:, j]).tolist()) / eta[j]
+    for j in np.flatnonzero(~fine):  # log_weights - eta * gaps is a - eta * (l - m)
+        shifted = -eta[j] * gaps[:, j]
+        mix[j] = m[j] - _logsumexp((log_weights[:, j] + shifted).tolist()) / eta[j]
     return hedge / wsum, mix
 
 

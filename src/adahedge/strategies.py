@@ -84,10 +84,12 @@ class _Kind:
 
     @property
     def slug(self) -> str:
-        name = next(n for n, cls in KINDS.items() if isinstance(self, cls))
-        return name + "".join(
-            f"_{f.name}{_slug_number(getattr(self, f.name))}" for f in fields(self)
-        )
+        for name, cls in KINDS.items():
+            if isinstance(self, cls):
+                return name + "".join(
+                    f"_{f.name}{_slug_number(getattr(self, f.name))}" for f in fields(self)
+                )
+        raise TypeError(f"unknown strategy kind {self!r}")
 
 
 @dataclass(frozen=True)
@@ -379,7 +381,9 @@ def run(kind: _Kind, losses) -> RegretTrace:
     arr = as_loss_array(losses)
     t_total, k = arr.shape
     if isinstance(kind, OracleHedge):
-        lstar = float(arr.sum(axis=0).min())
+        # summed in row order whatever the stream's layout, so that the rate
+        # does not depend on it
+        lstar = float(_action_sums(np.ascontiguousarray(arr)).min())
         state = init(FixedHedge(oracle_eta(lstar, k)), k)
     else:
         state = init(kind, k)

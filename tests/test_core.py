@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import adahedge.core as core_mod
 from adahedge.core import (
     ACCUMULATED_TOL,
     PER_OP_TOL,
@@ -21,6 +22,8 @@ from adahedge.core import (
     _action_sums,
     _exp,
     _map,
+    block_hedge_and_mix_loss,
+    hedge_and_mix_loss,
     hedge_weights,
     log_marginal_likelihood,
     mix_loss,
@@ -485,9 +488,10 @@ class TestExp:
 
 class TestActionSums:
     """``_action_sums`` adds the rows one at a time from 0.0, whatever the
-    memory layout.  ``np.add.reduce(x, axis=0, initial=0.0)`` is no
-    substitute: its order follows the layout, and it differs on ``(256, 1)``
-    blocks and on Fortran-order ones."""
+    memory layout.  ``np.add.reduce(x, axis=0, initial=0.0)`` sums pairwise
+    along the contiguous axis, so it is a substitute only where that axis
+    is not axis 0: on a C-contiguous block of two or more columns.  On
+    ``(256, 1)`` blocks and on Fortran-order ones it differs."""
 
     @staticmethod
     def in_sequence(x):
@@ -496,16 +500,144 @@ class TestActionSums:
             acc = [a + v for a, v in zip(acc, row)]
         return np.array(acc)
 
-    @pytest.mark.parametrize("shape, order", [((256, 1), "C"), ((256, 33), "F")])
+    def assert_in_sequence(self, x):
+        assert _action_sums(x).tobytes() == self.in_sequence(x).tobytes()
+
+    @pytest.mark.parametrize(
+        "shape, order",
+        [((256, 1), "C"), ((256, 33), "F"), ((256, 2), "C"), ((256, 128), "C")],
+    )
     def test_rows_added_in_sequence_from_zero(self, shape, order):
         rng = np.random.default_rng(13)
         for _ in range(20):
             x = rng.uniform(-1.0, 1.0, shape) * 10.0 ** rng.integers(-12, 13, shape)
-            x = np.asarray(x, order=order)
-            assert _action_sums(x).tobytes() == self.in_sequence(x).tobytes()
+            self.assert_in_sequence(np.asarray(x, order=order))
 
     def test_negative_zeros_sum_to_zero(self):
         assert _action_sums(np.full((3, 2), -0.0)).tobytes() == bytes(16)
+        assert _action_sums(np.full((256, 128), -0.0)).tobytes() == bytes(8 * 128)
+
+    def test_rows_that_start_with_negative_zero(self):
+        x = np.random.default_rng(14).choice([-0.0, 0.0, 1e-300, -2.5], (256, 128))
+        x[:3] = -0.0
+        x[3:, :7] = -0.0  # columns that are -0.0 all the way down
+        self.assert_in_sequence(x)
+        assert not np.signbit(_action_sums(x)[:7]).any()
+
+    @given(
+        st.integers(1, 300),
+        st.integers(1, 40),
+        st.sampled_from(["C", "F", "strided"]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_every_shape_and_layout(self, k, n, layout, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-1.0, 1.0, (k, 2 * n)) * 10.0 ** rng.integers(-12, 13, (k, 2 * n))
+        special = rng.random(x.shape) < 0.3
+        x[special] = rng.choice([0.0, -0.0, 5e-324, -5e-324, 2.0**-1030, -1e-310], special.sum())
+        if layout == "strided":
+            x = x[:, ::2]
+        else:
+            x = np.asarray(x[:, :n], order=layout)
+        self.assert_in_sequence(x)
+
+
+class TestBlockHedgeAndMixLoss:
+    """``block_hedge_and_mix_loss`` gives ``hedge_and_mix_loss``'s bits in
+    every column.  Gaps ``l - min l`` with at most two bit patterns (0/1
+    losses) take expm1 of the two values per column; any other block maps
+    every element."""
+
+    @staticmethod
+    def block(losses, eta, lw=None, seed=15):
+        """The kernel's (hedge, mix) on ``losses`` beside the scalar twin's,
+        column by column, at log weights ``lw`` (random if None)."""
+        if lw is None:
+            lw = -np.random.default_rng(seed).exponential(2.0, losses.shape)
+        weights = _exp(lw)
+        got = block_hedge_and_mix_loss(weights, losses, eta, lw)
+        etas = np.broadcast_to(eta, losses.shape[1:])
+        want = [
+            hedge_and_mix_loss(w, l, e, a)
+            for w, l, e, a in zip(weights.T.tolist(), losses.T.tolist(), etas.tolist(), lw.T.tolist())
+        ]
+        return got, want
+
+    def assert_matches(self, losses, eta, lw=None):
+        (hedge, mix), want = self.block(losses, eta, lw)
+        assert hedge.tobytes() == np.array([h for h, _ in want]).tobytes()
+        assert mix.tobytes() == np.array([m for _, m in want]).tobytes()
+
+    @staticmethod
+    def zero_one(k, n, seed=16):
+        losses = (np.random.default_rng(seed).random((k, n)) < 0.5).astype(np.float64)
+        losses[:, 0] = 0.0  # an all-equal column
+        losses[:, 1] = 1.0  # an all-ones column
+        return losses
+
+    RATES = {
+        "scalar": lambda n: 0.7,
+        "per column": lambda n: np.random.default_rng(17).uniform(1e-3, 3.0, n),
+    }
+
+    @pytest.mark.parametrize("rate", sorted(RATES))
+    @pytest.mark.parametrize("k, n", [(2, 2), (4, 60), (256, 128)])
+    def test_zero_one_blocks(self, k, n, rate):
+        self.assert_matches(self.zero_one(k, n), self.RATES[rate](n))
+
+    @pytest.mark.parametrize("rate", sorted(RATES))
+    @pytest.mark.parametrize("value", [0.0, 1.0, 0.375])
+    def test_one_valued_block(self, value, rate):
+        self.assert_matches(np.full((5, 9), value), self.RATES[rate](9))
+
+    @pytest.mark.parametrize("rate", sorted(RATES))
+    def test_gaps_with_negative_zero(self, rate):
+        rng = np.random.default_rng(18)
+        two = rng.choice([-0.0, 0.0], (6, 30))  # gaps 0.0 and -0.0
+        three = rng.choice([-0.0, 0.0, 1.0], (6, 30))  # gaps 0.0, -0.0 and 1.0
+        for losses in (two, three):
+            # min() keeps the first of equal zeros and numpy's min the last;
+            # a +0.0 at both ends makes both +0.0
+            losses[[0, -1]] = 0.0
+            self.assert_matches(losses, self.RATES[rate](30))
+
+    @pytest.mark.parametrize("eta", [40.0, np.linspace(20.0, 60.0, 40)])
+    def test_logsumexp_fallback_columns(self, eta):
+        losses = self.zero_one(8, 40)
+        # the zero-loss actions hold less than 2**-10 of the weight, except
+        # in every third column
+        lw = np.where(losses == 0.0, -12.0, 0.0)
+        lw[:, ::3] = 0.0
+        w = _exp(lw)
+        ratio = (w * np.expm1(-eta * (losses - losses.min(axis=0)))).sum(axis=0) / w.sum(axis=0)
+        falls_back = ratio < -1.0 + 2.0**-10
+        assert falls_back.any() and not falls_back.all()
+        self.assert_matches(losses, eta, lw)
+
+    @pytest.mark.parametrize("rate", sorted(RATES))
+    def test_three_valued_block(self, rate):
+        losses = self.zero_one(16, 20)
+        losses[3, 5] = 0.5
+        self.assert_matches(losses, self.RATES[rate](20))
+
+    @pytest.mark.parametrize("rate", sorted(RATES))
+    def test_zero_one_block_maps_no_full_block(self, rate, monkeypatch):
+        sizes = []
+
+        def recording_map(fn, x):
+            sizes.append(x.size)
+            return _map(fn, x)
+
+        monkeypatch.setattr(core_mod, "_map", recording_map)
+        k, n = 256, 128
+        losses = self.zero_one(k, n)
+        self.assert_matches(losses, self.RATES[rate](n))
+        assert sizes and k * n not in sizes
+        sizes.clear()
+        losses[3, 5] = 0.5
+        self.assert_matches(losses, self.RATES[rate](n))
+        assert sizes.count(k * n) == 1
 
 
 @st.composite

@@ -76,6 +76,13 @@ class TestKinds:
         assert AdaHedge(1.0000001).slug == "adahedge_phi1.0000001"
         assert DoublingHedge(1.0000000001).slug == "doubling_hedge_phi1.0000000001"
 
+    def test_unregistered_kind_has_no_slug(self):
+        class Mine(strategies_mod._Kind):
+            pass
+
+        with pytest.raises(TypeError, match="unknown strategy kind"):
+            Mine().slug
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="eta"):
             FixedHedge(0.0)
@@ -324,6 +331,19 @@ class TestRunInvariants:
             state.observe(row)
             snap = hedge_weights(state.cum, 0.3)
             assert state.weights == snap.weights
+
+    def test_oracle_rate_does_not_depend_on_layout(self):
+        """A Fortran-order, transposed or strided stream gives the trace of
+        its C-order copy; numpy would sum the first two pairwise."""
+        arr = unit_uniforms(7, 15000).reshape(5000, 3)
+        want = run(OracleHedge(), arr)
+        wide = np.zeros((5000, 6))
+        wide[:, ::2] = arr
+        for same in (np.asfortranarray(arr), np.ascontiguousarray(arr.T).T, wide[:, ::2]):
+            assert not same.flags.c_contiguous
+            got = run(OracleHedge(), same)
+            assert got.eta[0] == want.eta[0] == 0.02982779608313798
+            assert trace_bytes(got) == trace_bytes(want)
 
     def test_oracle_is_fixed_hedge_at_oracle_rate(self):
         arr = self.make_stream(seed=13)

@@ -550,24 +550,20 @@ class TestBlockHedgeAndMixLoss:
     every element."""
 
     @staticmethod
-    def block(losses, eta, lw=None, seed=15):
-        """The kernel's (hedge, mix) on ``losses`` beside the scalar twin's,
+    def assert_matches(losses, eta, lw=None):
+        """The kernel's (hedge, mix) on ``losses`` equal the scalar twin's,
         column by column, at log weights ``lw`` (random if None)."""
         if lw is None:
-            lw = -np.random.default_rng(seed).exponential(2.0, losses.shape)
+            lw = -np.random.default_rng(15).exponential(2.0, losses.shape)
         weights = _exp(lw)
-        got = block_hedge_and_mix_loss(weights, losses, eta, lw)
+        hedge, mix = block_hedge_and_mix_loss(weights, losses, eta, lw)
         etas = np.broadcast_to(eta, losses.shape[1:])
-        want = [
+        want = np.array([
             hedge_and_mix_loss(w, l, e, a)
             for w, l, e, a in zip(weights.T.tolist(), losses.T.tolist(), etas.tolist(), lw.T.tolist())
-        ]
-        return got, want
-
-    def assert_matches(self, losses, eta, lw=None):
-        (hedge, mix), want = self.block(losses, eta, lw)
-        assert hedge.tobytes() == np.array([h for h, _ in want]).tobytes()
-        assert mix.tobytes() == np.array([m for _, m in want]).tobytes()
+        ])
+        assert hedge.tobytes() == want[:, 0].copy().tobytes()
+        assert mix.tobytes() == want[:, 1].copy().tobytes()
 
     @staticmethod
     def zero_one(k, n, seed=16):
@@ -614,6 +610,12 @@ class TestBlockHedgeAndMixLoss:
         falls_back = ratio < -1.0 + 2.0**-10
         assert falls_back.any() and not falls_back.all()
         self.assert_matches(losses, eta, lw)
+
+    @pytest.mark.parametrize("rate", sorted(RATES))
+    def test_block_of_no_rounds(self, rate):
+        empty = np.empty((3, 0))
+        hedge, mix = block_hedge_and_mix_loss(empty, empty, self.RATES[rate](0), empty)
+        assert hedge.shape == mix.shape == (0,)
 
     @pytest.mark.parametrize("rate", sorted(RATES))
     def test_three_valued_block(self, rate):
